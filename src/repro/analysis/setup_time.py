@@ -10,18 +10,19 @@ multiple factors: distance from configuration node to the source node
 and to the destination node, number of slots used by the connection".
 
 This module provides the analytic daelite formula (checked against the
-cycle simulator by the tests) and the Table III row generator combining
+cycle simulator by the tests), its cycle-exact counterpart
+:func:`exact_setup_cycles`, and the Table III row generator combining
 simulated daelite measurements with the aelite configuration model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from ..alloc.spec import AllocatedChannel, AllocatedConnection
 from ..params import NetworkParameters
-from ..topology import CONFIG_HOP_CYCLES, ConfigTree
+from ..topology import CONFIG_HOP_CYCLES, ConfigTree, finish_cycle
 
 
 def path_packet_words(hops: int, params: NetworkParameters) -> int:
@@ -48,6 +49,10 @@ def ideal_setup_cycles(
     independent of the number of slots, exactly the paper's claim.
 
     Either ``tree`` or ``tree_depth`` supplies the broadcast depth.
+
+    This is the paper's "ideal" figure: it omits the one cycle between
+    a packet's completion and the next packet's activation, so it is
+    ``packets - 1`` cycles below :func:`exact_setup_cycles`.
     """
     depth = tree.max_depth if tree is not None else (tree_depth or 0)
     per_packet_overhead = CONFIG_HOP_CYCLES * depth + 1 + (
@@ -55,6 +60,32 @@ def ideal_setup_cycles(
     )
     words = path_packet_words(hops, params)
     return packets * (words + per_packet_overhead)
+
+
+def exact_setup_cycles(
+    packet_words: Iterable[int],
+    params: NetworkParameters,
+    tree: Optional[ConfigTree] = None,
+    tree_depth: Optional[int] = None,
+) -> int:
+    """Cycle-exact set-up time of a sequence of write packets.
+
+    ``packet_words`` lists the packets' word counts in submission order;
+    all are submitted in one cycle to an idle configuration module and
+    none expects a response (CHANNEL_READ round trips are not modelled).
+    The first packet starts in the submission cycle, each later one the
+    cycle after its predecessor completes, and the result is the last
+    completion cycle relative to the submission — the simulator's
+    ``SetupHandle.setup_cycles``.
+
+    Either ``tree`` or ``tree_depth`` supplies the broadcast depth.
+    """
+    depth = tree.max_depth if tree is not None else (tree_depth or 0)
+    start = finished = 0
+    for words in packet_words:
+        finished = finish_cycle(start, words, depth, params.cooldown_cycles)
+        start = finished + 1
+    return finished
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,16 @@ accepted", giving all elements time to commit their slot-table updates.
 The module is also the termination of the response path, collecting the
 words produced by CHANNEL_READ packets.  Only one request may be active at
 a time; further requests queue inside the module.
+
+Express delivery: the tree is a fixed broadcast tree moving one word per
+cycle, so the cycle in which every element commits a write packet is a
+closed form (:func:`~repro.topology.gap_cycle`).  When the module
+activates a packet that expects no responses it offers it to its
+:attr:`ConfigModule.express` handler (the network's), which
+decodes it with the addressed elements' own decoders and schedules the
+actions at their gap cycles; the module then keeps the exact stepped
+timeline without driving a word.  Every other case steps the words
+through the tree and counts a typed :class:`ExpressRefusal`.
 """
 
 from __future__ import annotations
@@ -24,8 +34,41 @@ from ..params import NetworkParameters
 from ..sim.kernel import Component
 from ..sim.link import NarrowLink
 from ..sim.stats import FAULT_DETECTED, StatsCollector
-from ..topology import CONFIG_HOP_CYCLES, ConfigTree
+from ..topology import ConfigTree, finish_cycle
 from .config_protocol import ConfigPacket, Opcode
+
+
+class ExpressRefusal:
+    """Why a config packet is stepped through the tree, not expressed.
+
+    ``kind`` is a stable tag counted in
+    ``Kernel.kernel_stats()["config_express_refusals"]``.
+    """
+
+    __slots__ = ("kind",)
+
+    #: The naive kernel is the reference semantics: always stepped.
+    NAIVE_MODE = "naive_mode"
+    #: A fault hook on a config link must see every word it targets.
+    FAULT_HOOKS_ARMED = "fault_hooks_armed"
+    #: CHANNEL_READ: the response travels the stepped reverse tree.
+    EXPECTS_RESPONSES = "expects_responses"
+    #: Some decoder is mid-packet, so the tree is not quiet.
+    DECODER_BUSY = "decoder_busy"
+    #: The packet is malformed; stepping reproduces where and when the
+    #: elements notice.
+    DECODE_ERROR = "decode_error"
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+
+    def __repr__(self) -> str:
+        return f"ExpressRefusal({self.kind!r})"
+
+
+#: Express handler: schedules ``packet`` as if its first word left the
+#: module at ``start``, or refuses (and schedules nothing).
+ExpressHandler = Callable[[ConfigPacket, int], Optional[ExpressRefusal]]
 
 
 @dataclass
@@ -106,10 +149,14 @@ class ConfigModule(Component):
         name: str,
         params: NetworkParameters,
         tree: ConfigTree,
+        express: ExpressHandler,
     ) -> None:
         super().__init__(name)
         self.params = params
         self.tree = tree
+        #: Express delivery handler (the network's); see the module
+        #: docstring.
+        self.express = express
         self.root_link: Optional[NarrowLink] = None
         self.response_link: Optional[NarrowLink] = None
         self._pending: Deque[ConfigRequest] = deque()
@@ -125,6 +172,7 @@ class ConfigModule(Component):
         #: the caller does not specify one (set by the fault injector).
         self.default_timeout_cycles: Optional[int] = None
         self.default_max_retries: int = 0
+        self._active_express = False
 
     # -- host-facing API -------------------------------------------------------
 
@@ -173,10 +221,10 @@ class ConfigModule(Component):
         return self._active is not None or bool(self._pending)
 
     @property
-    def commit_latency(self) -> int:
-        """Cycles after the last word until the farthest element has seen
-        the end-of-packet gap and committed its updates."""
-        return CONFIG_HOP_CYCLES * self.tree.max_depth + 1
+    def express_in_flight(self) -> bool:
+        """True while the active request was expressed: its words never
+        cross the config links, so nothing there can be faulted."""
+        return self._active is not None and self._active_express
 
     # -- cycle behaviour ---------------------------------------------------------
 
@@ -207,6 +255,8 @@ class ConfigModule(Component):
         ):
             self._active = self._pending.popleft()
             self._active.started_at = cycle
+            if self._try_express(cycle):
+                return
             self._word_queue.extend(self._active.packet.words)
         if self._active is None:
             return
@@ -215,18 +265,9 @@ class ConfigModule(Component):
             if self.root_link is not None:
                 self.root_link.send(word)
             if not self._word_queue:
-                # Last word sent: the gap follows next cycle.  Cool-down
-                # starts after the whole tree has seen the gap.
-                self._busy_until = (
-                    cycle
-                    + 1
-                    + self.commit_latency
-                    + self.params.cooldown_cycles
-                )
-                self._deadline = (
-                    cycle + 1 + self._active.timeout_cycles
-                    if self._active.timeout_cycles is not None
-                    else None
+                # Last word sent: the gap follows next cycle.
+                self._arm_deadlines(
+                    cycle + 1 - len(self._active.packet.words)
                 )
             return
         # Transmission finished; wait for cool-down and responses.
@@ -237,6 +278,47 @@ class ConfigModule(Component):
             return
         if cycle >= self._busy_until and responses_done:
             self._finish(cycle)
+
+    def _try_express(self, cycle: int) -> bool:
+        """Offer the just-activated request to the express handler.
+
+        On success the module's deadlines are set exactly as if the last
+        word had just left, and no word is driven.
+        """
+        request = self._active
+        assert request is not None
+        refusal: Optional[ExpressRefusal]
+        if request.expected_responses:
+            refusal = ExpressRefusal(ExpressRefusal.EXPECTS_RESPONSES)
+        else:
+            refusal = self.express(request.packet, cycle)
+        if self._kernel is not None:
+            self._kernel.note_config_packet(
+                None if refusal is None else refusal.kind
+            )
+        self._active_express = refusal is None
+        if refusal is not None:
+            return False
+        self._arm_deadlines(cycle)
+        return True
+
+    def _arm_deadlines(self, start: int) -> None:
+        """Set the cool-down and response deadlines of the active
+        request, whose words leave (or would leave) from ``start`` on.
+
+        Cool-down starts after the whole tree has seen the gap.
+        """
+        request = self._active
+        assert request is not None
+        words = len(request.packet.words)
+        self._busy_until = finish_cycle(
+            start, words, self.tree.max_depth, self.params.cooldown_cycles
+        )
+        self._deadline = (
+            start + words + request.timeout_cycles
+            if request.timeout_cycles is not None
+            else None
+        )
 
     def _timed_out(self, cycle: int) -> bool:
         """Handle a response deadline; True if a retry was scheduled or

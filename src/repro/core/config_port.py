@@ -73,13 +73,44 @@ class ConfigPort:
         #: the decoder resets, and the element resynchronizes on the
         #: next packet header.
         self.fault_monitor: Optional[FaultMonitor] = None
+        #: Express delivery: the gap cycle of a packet whose words never
+        #: cross the tree, and the actions it decoded to (see
+        #: :meth:`schedule_express`).
+        self._express_at: Optional[int] = None
+        self._express_actions: List[Action] = []
 
     @property
     def pending(self) -> bool:
-        """Work not visible in any register: queued responses, or a
-        decoder mid-packet (whose actions fire on the gap cycle, when the
-        input link is *idle* — so the owner must stay awake for it)."""
-        return bool(self.response_queue) or self.decoder.busy
+        """Work not visible in any register: queued responses, a decoder
+        mid-packet (whose actions fire on the gap cycle, when the input
+        link is *idle* — so the owner must stay awake for it), or an
+        express packet still to commit."""
+        return (
+            bool(self.response_queue)
+            or self.decoder.busy
+            or self._express_at is not None
+        )
+
+    def next_evaluation(self, cycle: int) -> Optional[int]:
+        """Earliest cycle ``>= cycle`` with config work for the owner:
+        every cycle while responses queue or the decoder is mid-packet,
+        else the gap cycle of a scheduled express packet."""
+        if self.response_queue or self.decoder.busy:
+            return cycle
+        if self._express_at is not None:
+            return max(cycle, self._express_at)
+        return None
+
+    def schedule_express(self, cycle: int, actions: List[Action]) -> None:
+        """Commit ``actions`` in ``cycle`` as if a packet had been fed.
+
+        The network decodes an express packet up front with this port's
+        own decoder and hands over the result: :meth:`evaluate` returns
+        the actions in ``cycle`` — the packet's gap cycle at this node —
+        exactly where ``decoder.feed(None)`` would have returned them.
+        """
+        self._express_at = cycle
+        self._express_actions = actions
 
     def external_inputs(self) -> List[Register]:
         """Registers of the narrow links this port reads each cycle."""
@@ -125,6 +156,11 @@ class ConfigPort:
         if response is not None and self.resp_out_link is not None:
             self.resp_out_link.send(response)
 
+        if self._express_at is not None and cycle >= self._express_at:
+            actions = self._express_actions
+            self._express_at = None
+            self._express_actions = []
+            return actions
         try:
             return self.decoder.feed(word)
         except ReproError as error:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import List, Optional, Sequence, Union
+from typing import FrozenSet, List, Optional, Sequence, Union
 
 from ..errors import ParameterError, ProtocolError
 from ..topology import ElementKind
@@ -308,6 +308,27 @@ def build_bus_config_packet(
         words=tuple(words),
         description=f"BUS_CONFIG elem={element_id} {len(payload)} words",
     )
+
+
+def addressed_element_ids(
+    words: Sequence[int], slot_table_size: int, word_bits: int = 7
+) -> FrozenSet[int]:
+    """Words sitting at element-ID positions of a packet's layout.
+
+    A decoder can only match — and so only emit actions — on the word it
+    reads as an element ID: every pair's first word after the slot mask
+    in a path packet, the second word of a channel or bus packet.  An
+    element whose ID is not in this set provably decodes the packet to
+    no actions.  Malformed packets yield whatever sits at those
+    positions; the decoder itself remains the judge of well-formedness.
+    """
+    if not words:
+        return frozenset()
+    opcode = words[0] & 0b111
+    if opcode in (Opcode.PATH_SETUP, Opcode.PATH_TEARDOWN):
+        first = 1 + -(-slot_table_size // word_bits)
+        return frozenset(words[first::2])
+    return frozenset(words[1:2])
 
 
 # --------------------------------------------------------------------------

@@ -13,13 +13,13 @@ they do can equally be driven cycle by cycle through the public parts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..alloc.spec import AllocatedConnection, AllocatedMulticast
-from ..errors import ConfigurationError, TopologyError
+from ..errors import ConfigurationError, ReproError, TopologyError
 from ..params import NetworkParameters, daelite_parameters
 from ..sim.compiled import install_compile_provider
-from ..sim.kernel import Kernel
+from ..sim.kernel import NAIVE_MODE, Kernel
 from ..sim.link import Link, NarrowLink
 from ..sim.stats import StatsCollector
 from ..sim.trace import NULL_TRACER, Tracer
@@ -28,8 +28,11 @@ from ..topology import (
     ElementKind,
     Topology,
     build_config_tree,
+    gap_cycle,
 )
-from .config_network import ConfigModule
+from .config_network import ConfigModule, ExpressRefusal
+from .config_port import ConfigPort
+from .config_protocol import Action, ConfigPacket, addressed_element_ids
 from .host import ConnectionHandle, Host, MulticastHandle, SetupHandle
 from .ni import NetworkInterface
 from .router import Router
@@ -92,10 +95,29 @@ class DaeliteNetwork:
             topology, self.host_element
         )
         self.config_module = ConfigModule(
-            "config_module", self.params, self.config_tree
+            "config_module",
+            self.params,
+            self.config_tree,
+            express=self._express_packet,
         )
         self.kernel.add(self.config_module)
         self._wire_config_tree()
+        #: element ID -> (config port, tree depth), for express delivery.
+        self._express_ports: Dict[int, Tuple[ConfigPort, int]] = {
+            element.element_id: (
+                self._config_port_of(name),
+                self.config_tree.depth[name],
+            )
+            for name, element in topology.elements.items()
+        }
+        self._express_root = self._express_ports[
+            topology.element(self.config_tree.root).element_id
+        ]
+        self._config_forward_links = [
+            narrow
+            for name, narrow in self.config_links.items()
+            if name.startswith("cfg.")
+        ]
         self.host = Host(
             topology=topology,
             module=self.config_module,
@@ -176,6 +198,56 @@ class DaeliteNetwork:
                 self.config_links[rsp.name] = rsp
                 child_port.resp_out_link = rsp
                 parent_port.resp_child_links.append(rsp)
+
+    def _express_packet(
+        self, packet: ConfigPacket, start: int
+    ) -> Optional[ExpressRefusal]:
+        """Schedule a write packet's decoded actions at their gap cycles.
+
+        Only elements whose ID sits at an element-ID position of the
+        packet can match, so only those decode it — each with its own
+        decoder, which returns to idle at the gap.  If none match, one
+        element decodes it anyway so a malformed packet is still refused
+        and stepped, where the elements notice it word by word.
+        """
+        if self.kernel.mode == NAIVE_MODE:
+            return ExpressRefusal(ExpressRefusal.NAIVE_MODE)
+        if any(
+            narrow.fault_hook is not None
+            for narrow in self.config_links.values()
+        ):
+            return ExpressRefusal(ExpressRefusal.FAULT_HOOKS_ARMED)
+        if any(
+            port.decoder.busy for port, _ in self._express_ports.values()
+        ):
+            return ExpressRefusal(ExpressRefusal.DECODER_BUSY)
+        words = packet.words
+        ids = addressed_element_ids(
+            words, self.params.slot_table_size, self.params.config_word_bits
+        )
+        targets = [
+            self._express_ports[element_id]
+            for element_id in sorted(ids)
+            if element_id in self._express_ports
+        ] or [self._express_root]
+        decoded: List[Tuple[ConfigPort, int, List[Action]]] = []
+        for port, depth in targets:
+            decoder = port.decoder
+            try:
+                for word in words:
+                    decoder.feed(word)
+                actions = decoder.feed(None)
+            except ReproError:
+                decoder.reset()
+                return ExpressRefusal(ExpressRefusal.DECODE_ERROR)
+            if actions:
+                gap = gap_cycle(start, len(words), depth)
+                decoded.append((port, gap, actions))
+        for port, gap, actions in decoded:
+            port.schedule_express(gap, actions)
+        for narrow in self._config_forward_links:
+            narrow.words_carried += len(words)
+        return None
 
     # -- element access ------------------------------------------------------------
 

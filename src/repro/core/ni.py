@@ -243,8 +243,9 @@ class NetworkInterface(Component):
         """Arrivals and pipeline movement are register-driven; the only
         self-scheduled work is the injection decision (queued words or
         credits to return, possible only in granted slots) and the config
-        decoder's gap cycle."""
-        if self.config.pending:
+        port's gap cycle (stepped or express)."""
+        config = self.config.next_evaluation(cycle)
+        if config == cycle:
             return cycle
         backlog = any(
             source.has_backlog for source in self.source_channels.values()
@@ -253,8 +254,11 @@ class NetworkInterface(Component):
             dest.has_pending_credits
             for dest in self.dest_channels.values()
         ):
-            return None
-        return self._next_injection_opportunity(cycle)
+            return config
+        injection = self._next_injection_opportunity(cycle)
+        if config is None or injection is None:
+            return injection if config is None else config
+        return min(config, injection)
 
     def _next_injection_opportunity(self, cycle: int) -> Optional[int]:
         """First cycle >= ``cycle`` whose injection slot is granted to

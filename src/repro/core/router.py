@@ -99,9 +99,9 @@ class Router(Component):
 
     def next_evaluation(self, cycle: int) -> Optional[int]:
         """Routers are purely reactive: everything they do is triggered
-        by an incoming (data or config) register, except the decoder's
-        gap-cycle action emission, covered by ``config.pending``."""
-        return cycle if self.config.pending else None
+        by an incoming (data or config) register, except the config
+        port's gap-cycle action emission (stepped or express)."""
+        return self.config.next_evaluation(cycle)
 
     def evaluate(self, cycle: int) -> None:
         slot = self.params.lagged_slot_of_cycle(cycle)

@@ -123,11 +123,20 @@ class FaultInjector:
 
         Raises:
             FaultInjectionError: if already armed, if a targeted link
-                already carries another hook, or if a scheduled fault
-                lies in the simulator's past.
+                already carries another hook, if a scheduled fault
+                lies in the simulator's past, or if the plan targets
+                config links while an express packet is in flight (its
+                words never cross them, so the faults could not land).
         """
         if self.armed:
             raise FaultInjectionError("injector is already armed")
+        module = self.network.config_module
+        if self._cfg_faults and module.express_in_flight:
+            raise FaultInjectionError(
+                "cannot arm config-link faults while an express config "
+                "packet is in flight: its words never cross the config "
+                "links — arm before submitting, or once the module idles"
+            )
         kernel = self.network.kernel
         self._check_future(kernel.cycle)
         for edge, specs in sorted(self._data_faults.items()):

@@ -479,6 +479,12 @@ class Kernel:
         #: but a timeline segment was aperiodic so epoch replay was
         #: withheld (see :attr:`CompileRefusal.APERIODIC`).
         self.replay_refusals: Dict[str, int] = {}
+        #: Config packets applied as scheduled writes at their gap
+        #: cycles (express delivery) / stepped word by word through the
+        #: config tree, and refusal kind -> packets express refused.
+        self.config_express_packets = 0
+        self.config_stepped_packets = 0
+        self.config_express_refusals: Dict[str, int] = {}
 
     # -- mode ----------------------------------------------------------------
 
@@ -740,6 +746,17 @@ class Kernel:
             self.replay_refusals.get(refusal.kind, 0) + 1
         )
 
+    def note_config_packet(self, refusal: Optional[str]) -> None:
+        """Count one activated config packet: express when ``refusal``
+        is ``None``, else stepped for the given refusal kind."""
+        if refusal is None:
+            self.config_express_packets += 1
+            return
+        self.config_stepped_packets += 1
+        self.config_express_refusals[refusal] = (
+            self.config_express_refusals.get(refusal, 0) + 1
+        )
+
     def _retire_engine(self, decompile: bool = True) -> None:
         """Drop the compiled engine, optionally materializing its state.
 
@@ -817,6 +834,9 @@ class Kernel:
             "lowering_cache_hits": self.lowering_cache_hits,
             "lowering_cache_misses": self.lowering_cache_misses,
             "replay_refusals": dict(self.replay_refusals),
+            "config_express_packets": self.config_express_packets,
+            "config_stepped_packets": self.config_stepped_packets,
+            "config_express_refusals": dict(self.config_express_refusals),
             "last_refusal": None if refusal is None else refusal.kind,
             "last_refusal_detail": (
                 None if refusal is None else refusal.detail

@@ -27,6 +27,31 @@ from .topology import Topology
 CONFIG_HOP_CYCLES = 2
 
 
+def gap_cycle(start: int, words: int, depth: int) -> int:
+    """Cycle at which a tree node at ``depth`` sees the end-of-packet gap.
+
+    The module drives word *k* of a ``words``-word packet onto the root
+    link in cycle ``start + k``; the root element reads it one cycle
+    later, and every further tree hop adds :data:`CONFIG_HOP_CYCLES`.
+    The node therefore reads the last word in ``start + words +
+    CONFIG_HOP_CYCLES * depth`` and the gap (valid line low) one cycle
+    after — the cycle in which its decoder commits the packet.
+    """
+    return start + words + 1 + CONFIG_HOP_CYCLES * depth
+
+
+def finish_cycle(
+    start: int, words: int, max_depth: int, cooldown: int
+) -> int:
+    """Cycle in which the configuration module completes a write packet.
+
+    The deepest node commits at its :func:`gap_cycle`; the cool-down
+    follows, and the module retires the request in the first cycle it
+    is no longer busy.  The next queued packet starts one cycle later.
+    """
+    return gap_cycle(start, words, max_depth) + cooldown
+
+
 @dataclass
 class ConfigTree:
     """A broadcast tree over all network elements.

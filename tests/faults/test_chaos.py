@@ -79,7 +79,7 @@ def _fresh(sink, base, count):
     return [p for _, p in sink.received if base <= p < base + count]
 
 
-def run_chaos(seed: int, fail_a_link: bool) -> None:
+def run_chaos(seed: int, fail_a_link: bool) -> DaeliteNetwork:
     topology = build_mesh(3, 3)
     params = daelite_parameters(slot_table_size=16)
     network = DaeliteNetwork(topology, params, host_ni="NI11")
@@ -185,6 +185,7 @@ def run_chaos(seed: int, fail_a_link: bool) -> None:
         assert len(_fresh(sink, base, 5)) == 5, (
             f"multicast to {dst} (seed {seed})"
         )
+    return network
 
 
 class TestChaos:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
+from repro.core.config_protocol import ChannelField, Direction
 from repro.errors import SimulationError
 from repro.params import daelite_parameters
 from repro.sim.kernel import ACTIVITY_MODE, NAIVE_MODE, Kernel
@@ -47,12 +48,29 @@ def build_pair(configure=True):
     return activity, naive, connection
 
 
-def lockstep_checking_no_skipped_work(activity, naive, cycles):
+def is_config_wire(name):
+    """Registers only stepped config words drive (express delivery
+    leaves them idle by design)."""
+    return name.startswith("cfglink.") or name.endswith(
+        (".cfg_fwd", ".cfg_resp")
+    )
+
+
+def lockstep_checking_no_skipped_work(
+    activity, naive, cycles, ignore=lambda name: False
+):
     """Step both builds one cycle at a time.  Whenever the naive build
     shows that the cycle drove any register, the activity build must
-    have executed (not skipped) that cycle; all registers must agree."""
-    naive_regs = naive.kernel.all_registers()
-    activity_regs = activity.kernel.all_registers()
+    have executed (not skipped) that cycle; all registers must agree.
+    Registers whose name ``ignore`` accepts are left out of both."""
+    naive_regs = [
+        reg for reg in naive.kernel.all_registers() if not ignore(reg.name)
+    ]
+    activity_regs = [
+        reg
+        for reg in activity.kernel.all_registers()
+        if not ignore(reg.name)
+    ]
     executed_when_needed = 0
     for _ in range(cycles):
         before = activity.kernel.active_cycles
@@ -142,8 +160,44 @@ class TestPeriodicConnection:
 
 class TestConfigBurstMidIdle:
     def test_config_tree_burst_fired_into_idle_period(self):
-        """A set-up packet scheduled mid-idle must wake the whole config
-        tree at exactly the right cycle in both modes."""
+        """A packet that must step through the tree (a CHANNEL_READ: its
+        response travels the reverse tree) scheduled mid-idle wakes the
+        whole config tree at exactly the right cycle in both modes —
+        config wires included."""
+        activity, naive, connection = build_pair(configure=False)
+        requests = {}
+        for mode, net in (("activity", activity), ("naive", naive)):
+            handle = net.host.setup_connection(connection)
+            net.run_until_configured(handle)
+
+            def read(cycle, net=net, mode=mode, handle=handle):
+                requests[mode] = net.host.read_channel_register(
+                    "NI00",
+                    Direction.INJECT,
+                    handle.forward.src_channel,
+                    ChannelField.FLAGS,
+                )
+
+            net.kernel.at(net.kernel.cycle + 1200, read)
+        before = activity.kernel.fast_forwarded_cycles
+        needed = lockstep_checking_no_skipped_work(activity, naive, 1600)
+        assert needed > 0
+        # The 1200 leading idle cycles were all skippable.
+        assert activity.kernel.fast_forwarded_cycles - before >= 1200
+        assert requests["activity"].done and requests["naive"].done
+        assert requests["activity"].responses == requests["naive"].responses
+        assert (
+            requests["activity"].setup_cycles
+            == requests["naive"].setup_cycles
+        )
+        refusals = activity.kernel.kernel_stats()["config_express_refusals"]
+        assert refusals == {"expects_responses": 1}
+
+    def test_express_setup_fired_into_idle_period(self):
+        """A set-up scheduled mid-idle is expressed on the activity
+        kernel: every register but the config wires matches the naive
+        (stepped) build on every cycle, no cycle that drove one of them
+        is skipped, and the handle's timeline is identical."""
         params = daelite_parameters(slot_table_size=8)
         mesh = build_mesh(2, 2)
         allocator = SlotAllocator(topology=mesh, params=params)
@@ -163,16 +217,28 @@ class TestConfigBurstMidIdle:
             net.kernel.at(1200, setup)
             nets[mode] = net
         needed = lockstep_checking_no_skipped_work(
-            nets[ACTIVITY_MODE], nets[NAIVE_MODE], 1600
+            nets[ACTIVITY_MODE], nets[NAIVE_MODE], 1600, is_config_wire
         )
-        assert needed > 0
-        # The 1200 leading idle cycles were all skippable.
+        # Without traffic a set-up drives nothing but config wires.
+        assert needed == 0
         assert nets[ACTIVITY_MODE].kernel.fast_forwarded_cycles >= 1200
-        assert handles[ACTIVITY_MODE].done and handles[NAIVE_MODE].done
-        assert (
-            handles[ACTIVITY_MODE].setup_cycles
-            == handles[NAIVE_MODE].setup_cycles
-        )
+        express, naive = handles[ACTIVITY_MODE], handles[NAIVE_MODE]
+        assert express.done and naive.done
+        assert [
+            (r.submitted_at, r.started_at, r.finished_at)
+            for r in express.requests
+        ] == [
+            (r.submitted_at, r.started_at, r.finished_at)
+            for r in naive.requests
+        ]
+        for name, link in nets[NAIVE_MODE].config_links.items():
+            assert (
+                nets[ACTIVITY_MODE].config_links[name].words_carried
+                == link.words_carried
+            )
+        stats = nets[ACTIVITY_MODE].kernel.kernel_stats()
+        assert stats["config_express_packets"] == len(express.requests)
+        assert stats["config_stepped_packets"] == 0
 
 
 class TestKernelPrimitives:
