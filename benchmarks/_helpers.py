@@ -7,9 +7,10 @@ import os
 import platform
 import subprocess
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
@@ -29,11 +30,11 @@ NO_FAST_PATH_OPTION = "--no-fast-path"
 BENCH_RESULT_DIR = Path(__file__).resolve().parent.parent
 
 
-def _git_sha() -> Optional[str]:
-    """Commit the numbers were taken at, or ``None`` outside a repo."""
+def _git(*args: str) -> Optional[str]:
+    """Stdout of one git command in the repo, or ``None`` on failure."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=BENCH_RESULT_DIR,
             capture_output=True,
             text=True,
@@ -41,8 +42,16 @@ def _git_sha() -> Optional[str]:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def _git_sha() -> Tuple[Optional[str], Optional[bool]]:
+    """Commit the numbers were taken at and whether the working tree
+    differed from it (``git status --porcelain`` non-empty); ``None``
+    for either outside a repo."""
+    sha = (_git("rev-parse", "HEAD") or "").strip() or None
+    status = _git("status", "--porcelain")
+    return sha, None if status is None else bool(status.strip())
 
 
 def _cpu_model() -> str:
@@ -64,8 +73,8 @@ def write_bench_json(
     root and return the path.
 
     The payload is augmented with full provenance — interpreter,
-    platform, CPU model, git commit, UTC timestamp, and the kernel mode
-    actually measured — so results from different machines, commits, or
+    platform, CPU model, git commit and dirty flag, UTC timestamp, and
+    the kernel mode actually measured — so results from different machines, commits, or
     kernel configurations are never compared blindly.
 
     ``kernel_mode`` should name the mode(s) the numbers were taken
@@ -74,12 +83,14 @@ def write_bench_json(
     process-global default is recorded (correct only for benches that
     never override the mode per network).
     """
+    sha, dirty = _git_sha()
     record = {
         "benchmark": name,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu": _cpu_model(),
-        "git_sha": _git_sha(),
+        "git_sha": sha,
+        "git_dirty": dirty,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
@@ -117,6 +128,24 @@ def apply_no_fast_path(config) -> None:
 def resolved_kernel_mode() -> str:
     """The mode any default-constructed Kernel will use right now."""
     return default_kernel_mode()
+
+
+@contextmanager
+def replay_off() -> Iterator[None]:
+    """Withhold epoch replay for networks compiled inside the block.
+
+    Every steady period then exceeds the probe budget, so the compiled
+    engine records a typed ``aperiodic_segment`` and steps every cycle:
+    the stepped throughput of the same engine on the same workload.
+    """
+    from repro.sim import compiled
+
+    saved = compiled.MAX_REPLAY_PERIOD
+    compiled.MAX_REPLAY_PERIOD = 1
+    try:
+        yield
+    finally:
+        compiled.MAX_REPLAY_PERIOD = saved
 
 
 def connected_daelite(

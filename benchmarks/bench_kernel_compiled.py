@@ -1,20 +1,20 @@
-"""Compiled- and vector-kernel throughput on a steady 8x8 workload.
+"""Kernel throughput on a steady 8x8 workload, stepped and replayed.
 
-Two stacked claims share this workload:
+Once the configuration tree is quiet, the compiled engine flattens the
+data plane into integer-indexed tables and steps it with no component
+dispatch; on an exactly periodic steady state it also replays epochs
+arithmetically.  The two layers are published as separate fields so a
+speed-up names the layer it came from:
 
-* ISSUE 5 (compiled engine): once the configuration tree is quiet,
-  flattening the data plane into integer-indexed tables and replaying
-  the periodic steady state arithmetically must be >=5x faster than the
-  activity kernel on a *busy* workload — the profile where
-  activity-driven scheduling has nothing left to skip.
-* ISSUE 7 (vector engine): lowering those tables into fused numpy
-  gathers/scatters must be >=5x faster again than the compiled
-  interpreter.  The vector engine's costs are dominated by fixed
-  per-run work (a handful of stepped boundary cycles plus one bulk
-  materialization), so the ratio is measured over a long 100k-cycle
-  steady window with best-of aggregation — median-of-short-windows
-  under-reports an engine whose marginal cost per cycle is near zero
-  and punishes it for scheduler noise on loaded runners.
+* ``stepped_cycles_per_s`` — every cycle stepped, per kernel mode
+  (compiled with replay withheld, see ``_helpers.replay_off``);
+* ``replayed_cycles_per_s`` — the compiled engine with epoch replay on,
+  the mode a user actually runs.
+
+Gates compare like with like: stepped compiled >=5x stepped activity on
+a *busy* workload (the profile where activity-driven scheduling has
+nothing left to skip), all modes delivering the bit-identical word
+stream, and replay at least as fast as stepping the same workload.
 
 Results land in ``BENCH_kernel.json``.
 """
@@ -25,16 +25,11 @@ import gc
 import statistics
 import time
 
-from _helpers import write_bench_json
+from _helpers import replay_off, write_bench_json
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters
-from repro.sim.kernel import (
-    ACTIVITY_MODE,
-    COMPILED_MODE,
-    NAIVE_MODE,
-    VECTOR_MODE,
-)
+from repro.sim.kernel import ACTIVITY_MODE, COMPILED_MODE, NAIVE_MODE
 from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import CbrGenerator
 from repro.traffic.sinks import CheckingSink
@@ -56,10 +51,6 @@ GEN_PERIOD = 20
 
 WARMUP_CYCLES = 2_000
 
-#: Long steady window for the vector-vs-compiled ratio (see module
-#: docstring for why this is longer than the 30k comparison window).
-RATIO_CYCLES = 100_000
-
 
 def build_workload(mode):
     """An 8x8 mesh with four configured cross-mesh CBR flows."""
@@ -74,12 +65,7 @@ def build_workload(mode):
         )
         for i, (src, dst) in enumerate(FLOW_PAIRS)
     ]
-    # vector_shards pinned to one fixed configuration so the published
-    # ratios do not drift with a REPRO_VECTOR_SHARDS override; sharded
-    # curves (which also replay) live in bench_scalability.py.
-    net = DaeliteNetwork(
-        mesh, params, host_ni="NI00", kernel_mode=mode, vector_shards=1
-    )
+    net = DaeliteNetwork(mesh, params, host_ni="NI00", kernel_mode=mode)
     handles = [net.configure(conn) for conn in allocated]
     for handle in handles:
         net.run_until_configured(handle)
@@ -109,7 +95,7 @@ def timed_run(mode, run_cycles):
 
     A pre-window ``gc.collect()`` keeps a generational collection of
     the previous runs' WordRecord piles from landing inside the timed
-    region — at vector speeds a single gen-2 pass is comparable to the
+    region — at replay speeds a single gen-2 pass is comparable to the
     whole measured window.
     """
     net, sinks = build_workload(mode)
@@ -140,95 +126,74 @@ def delivered_profile(net):
     }
 
 
+def telemetry(net):
+    """Replay provenance of one compiled run."""
+    stats = net.kernel.kernel_stats()
+    return {
+        "compiled_cycles": stats["compiled_cycles"],
+        "replayed_epochs": stats["replayed_epochs"],
+        "replayed_cycles": stats["replayed_cycles"],
+        "replay_coverage": round(
+            stats["replayed_cycles"] / max(1, stats["compiled_cycles"]), 4
+        ),
+        "regimes_detected": stats["regimes_detected"],
+        "compile_fallbacks": stats["compile_fallbacks"],
+        "replay_refusals": stats["replay_refusals"],
+    }
+
+
 def test_compiled_kernel_speedup_steady_state():
-    """Compiled mode must beat activity by >=5x and vector mode must
-    beat compiled by >=5x on saturated traffic, all three delivering
+    """Stepped compiled must beat stepped activity by >=5x on saturated
+    traffic, and replay must not lose to stepping; every mode delivers
     the bit-identical word stream."""
     window_cycles = 30_000
     naive_cycles = 3_000
     runs = 5
-    ratio_runs = 5
 
-    compiled_walls, compiled_nets = timed_runs(
+    with replay_off():
+        stepped_walls, stepped_nets = timed_runs(
+            COMPILED_MODE, window_cycles, runs
+        )
+    replayed_walls, replayed_nets = timed_runs(
         COMPILED_MODE, window_cycles, runs
     )
     activity_walls, activity_nets = timed_runs(
         ACTIVITY_MODE, window_cycles, runs
     )
-    vector_walls, vector_nets = timed_runs(VECTOR_MODE, window_cycles, 3)
     naive_walls, _ = timed_runs(NAIVE_MODE, naive_cycles, 3)
 
-    compiled_cps = window_cycles / statistics.median(compiled_walls)
+    stepped_cps = window_cycles / statistics.median(stepped_walls)
+    replayed_cps = window_cycles / statistics.median(replayed_walls)
     activity_cps = window_cycles / statistics.median(activity_walls)
-    vector_cps = window_cycles / min(vector_walls)
     naive_cps = naive_cycles / statistics.median(naive_walls)
-    speedup = compiled_cps / activity_cps
-    vs_naive = compiled_cps / naive_cps
+    speedup = stepped_cps / activity_cps
+    replay_gain = replayed_cps / stepped_cps
 
     # Identical cycle horizon => the word streams must match exactly.
     reference = delivered_profile(activity_nets[0])
     assert all(count > 0 for count in reference.values())
-    for net in compiled_nets + activity_nets + vector_nets:
+    for net in stepped_nets + replayed_nets + activity_nets:
         assert delivered_profile(net) == reference
         assert net.total_dropped_words == 0
 
-    kernel_stats = compiled_nets[0].kernel.kernel_stats()
-    assert kernel_stats["compiled_cycles"] > 0
-    assert kernel_stats["replayed_epochs"] > 0
-    vector_stats = vector_nets[0].kernel.kernel_stats()
-    assert vector_stats["compiled_cycles"] > 0
-    assert vector_stats["replayed_epochs"] > 0
-
-    # Vector-vs-compiled ratio over the long window, best-of paired
-    # runs: both engines replay epochs, so per-run constants (probe,
-    # materialize, boundary stepping) dominate short windows; the long
-    # window exposes the marginal per-cycle cost where the vector data
-    # plane actually wins.  Runs are sampled in compiled/vector pairs
-    # and the minima compared — on a shared 1-CPU runner a co-tenant
-    # burst inflates the vector window (tens of ms absolute) far more
-    # in relative terms than the compiled one, so sampling continues
-    # past the floor of ``ratio_runs`` pairs until the best-of ratio
-    # stabilizes above the gate (or the pair budget is exhausted).
-    max_ratio_runs = 2 * ratio_runs
-    ratio_compiled_walls, ratio_vector_walls = [], []
-    long_reference = None
-    for pair in range(max_ratio_runs):
-        wall, _, sinks = timed_run(COMPILED_MODE, RATIO_CYCLES)
-        assert all(sink.clean for sink in sinks)
-        ratio_compiled_walls.append(wall)
-        wall, net, sinks = timed_run(VECTOR_MODE, RATIO_CYCLES)
-        assert all(sink.clean for sink in sinks)
-        ratio_vector_walls.append(wall)
-        profile = delivered_profile(net)
-        if long_reference is None:
-            long_reference = profile
-            assert all(count > 0 for count in long_reference.values())
-        assert profile == long_reference
-        if (
-            pair + 1 >= ratio_runs
-            and min(ratio_compiled_walls) / min(ratio_vector_walls) >= 5.0
-        ):
-            break
-    compiled_long_cps = RATIO_CYCLES / min(ratio_compiled_walls)
-    vector_long_cps = RATIO_CYCLES / min(ratio_vector_walls)
-    vector_speedup = vector_long_cps / compiled_long_cps
+    stepped_telemetry = telemetry(stepped_nets[0])
+    replayed_telemetry = telemetry(replayed_nets[0])
+    assert stepped_telemetry["compiled_cycles"] > 0
+    assert stepped_telemetry["replayed_epochs"] == 0
+    assert replayed_telemetry["replayed_epochs"] > 0
 
     print("\n8x8 MESH steady state (4 CBR flows) — kernel throughput")
-    print(f"{'kernel':>9} {'cycles/s':>12}")
-    print(f"{'vector':>9} {vector_long_cps:>12,.0f}")
-    print(f"{'compiled':>9} {compiled_cps:>12,.0f}")
-    print(f"{'activity':>9} {activity_cps:>12,.0f}")
-    print(f"{'naive':>9} {naive_cps:>12,.0f}")
+    print(f"{'kernel':>17} {'cycles/s':>12}")
+    print(f"{'compiled+replay':>17} {replayed_cps:>12,.0f}")
+    print(f"{'compiled stepped':>17} {stepped_cps:>12,.0f}")
+    print(f"{'activity':>17} {activity_cps:>12,.0f}")
+    print(f"{'naive':>17} {naive_cps:>12,.0f}")
     print(
-        f"compiled speedup: {speedup:.1f}x vs activity, "
-        f"{vs_naive:.1f}x vs naive "
-        f"(replayed {kernel_stats['replayed_cycles']} of "
+        f"stepped compiled {speedup:.1f}x activity; replay "
+        f"{replay_gain:.1f}x stepped (replayed "
+        f"{replayed_telemetry['replayed_cycles']} of "
         f"{window_cycles + WARMUP_CYCLES} cycles in "
-        f"{kernel_stats['replayed_epochs']} epochs)"
-    )
-    print(
-        f"vector speedup: {vector_speedup:.1f}x vs compiled over "
-        f"{RATIO_CYCLES} cycles, best of {len(ratio_vector_walls)} pairs"
+        f"{replayed_telemetry['replayed_epochs']} epochs)"
     )
 
     write_bench_json(
@@ -236,61 +201,33 @@ def test_compiled_kernel_speedup_steady_state():
         {
             "workload": "8x8 mesh, 4 cross-mesh CBR flows, T=16",
             "runs": runs,
+            "aggregation": "median",
             "measured_cycles": {
                 "compiled": window_cycles,
                 "activity": window_cycles,
-                "vector": window_cycles,
                 "naive": naive_cycles,
             },
-            "cycles_per_second": {
-                "compiled": round(compiled_cps),
+            "stepped_cycles_per_s": {
+                "compiled": round(stepped_cps),
                 "activity": round(activity_cps),
-                "vector": round(vector_cps),
                 "naive": round(naive_cps),
             },
-            "speedup_compiled_vs_activity": round(speedup, 2),
-            "speedup_compiled_vs_naive": round(vs_naive, 2),
-            "vector_vs_compiled": {
-                "measured_cycles": RATIO_CYCLES,
-                "runs": len(ratio_vector_walls),
-                "aggregation": "best-of",
-                "compiled_cycles_per_second": round(compiled_long_cps),
-                "vector_cycles_per_second": round(vector_long_cps),
-                "speedup": round(vector_speedup, 2),
+            "replayed_cycles_per_s": {
+                "compiled": round(replayed_cps),
             },
-            "compiled_telemetry": {
-                "compiled_cycles": kernel_stats["compiled_cycles"],
-                "replayed_epochs": kernel_stats["replayed_epochs"],
-                "replayed_cycles": kernel_stats["replayed_cycles"],
-                "replay_coverage": round(
-                    kernel_stats["replayed_cycles"]
-                    / kernel_stats["compiled_cycles"],
-                    4,
-                ),
-                "regimes_detected": kernel_stats["regimes_detected"],
-                "compile_fallbacks": kernel_stats["compile_fallbacks"],
-            },
-            "vector_telemetry": {
-                "compiled_cycles": vector_stats["compiled_cycles"],
-                "replayed_epochs": vector_stats["replayed_epochs"],
-                "replayed_cycles": vector_stats["replayed_cycles"],
-                "replay_coverage": round(
-                    vector_stats["replayed_cycles"]
-                    / vector_stats["compiled_cycles"],
-                    4,
-                ),
-                "regimes_detected": vector_stats["regimes_detected"],
-                "compile_fallbacks": vector_stats["compile_fallbacks"],
-            },
+            "speedup_stepped_compiled_vs_activity": round(speedup, 2),
+            "speedup_replayed_vs_stepped_compiled": round(replay_gain, 2),
+            "stepped_telemetry": stepped_telemetry,
+            "replayed_telemetry": replayed_telemetry,
         },
-        kernel_mode=[ACTIVITY_MODE, COMPILED_MODE, NAIVE_MODE, VECTOR_MODE],
+        kernel_mode=[ACTIVITY_MODE, COMPILED_MODE, NAIVE_MODE],
     )
 
     assert speedup >= 5.0, (
-        f"compiled kernel only {speedup:.2f}x faster than activity on "
-        f"the steady-state 8x8 workload — expected >=5x"
+        f"stepped compiled kernel only {speedup:.2f}x faster than "
+        f"activity on the steady-state 8x8 workload — expected >=5x"
     )
-    assert vector_speedup >= 5.0, (
-        f"vector kernel only {vector_speedup:.2f}x faster than compiled "
-        f"over the {RATIO_CYCLES}-cycle steady window — expected >=5x"
+    assert replay_gain >= 1.0, (
+        f"epoch replay slower than stepping the same workload: "
+        f"{replayed_cps:,.0f} vs {stepped_cps:,.0f} cycles/s"
     )

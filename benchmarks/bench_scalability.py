@@ -14,16 +14,11 @@ import time
 
 import pytest
 
-from _helpers import BENCH_RESULT_DIR, connected_daelite
+from _helpers import BENCH_RESULT_DIR, connected_daelite, replay_off
 from repro.alloc import ConnectionRequest, SlotAllocator
 from repro.core import DaeliteNetwork
 from repro.params import daelite_parameters
-from repro.sim.kernel import (
-    ACTIVITY_MODE,
-    COMPILED_MODE,
-    NAIVE_MODE,
-    VECTOR_MODE,
-)
+from repro.sim.kernel import ACTIVITY_MODE, COMPILED_MODE, NAIVE_MODE
 from repro.topology import build_mesh, ni_name, router_name
 from repro.traffic.generators import CbrGenerator
 from repro.traffic.sinks import CheckingSink
@@ -130,39 +125,35 @@ def run_steady_flow_16x16(mode, run_cycles):
 
 
 def test_compiled_kernel_speedup_on_16x16_mesh(benchmark):
-    """The compiled engine's advantage holds at the 512-element scale:
-    >=3x over the activity kernel on a steady 16x16 flow (conservative
-    floor; the medium-mesh bench pins the headline number)."""
+    """The compiled engine's stepping advantage holds at the
+    512-element scale: with replay withheld it must step a steady 16x16
+    flow >=3x faster than the activity kernel (conservative floor; the
+    medium-mesh bench pins the headline number)."""
     run_cycles = 20_000
 
     def compiled_run():
-        return run_steady_flow_16x16(COMPILED_MODE, run_cycles)
+        with replay_off():
+            return run_steady_flow_16x16(COMPILED_MODE, run_cycles)
 
     compiled_wall, compiled_net = benchmark(compiled_run)
-    compiled_wall = min(
-        compiled_wall, run_steady_flow_16x16(COMPILED_MODE, run_cycles)[0]
-    )
+    compiled_wall = min(compiled_wall, compiled_run()[0])
     activity_wall = min(
         run_steady_flow_16x16(ACTIVITY_MODE, run_cycles)[0]
         for _ in range(2)
     )
     speedup = activity_wall / compiled_wall
     kstats = compiled_net.kernel.kernel_stats()
-    print("\n16x16 MESH (512 elements, T=16) — steady-state wall-clock")
+    print("\n16x16 MESH (512 elements, T=16) — stepped wall-clock")
     print(
         f"compiled {run_cycles / compiled_wall:>10,.0f} cycles/s   "
         f"activity {run_cycles / activity_wall:>10,.0f} cycles/s   "
         f"speedup {speedup:.1f}x"
     )
-    print(
-        f"replayed {kstats['replayed_cycles']} cycles in "
-        f"{kstats['replayed_epochs']} epochs"
-    )
     assert kstats["compiled_cycles"] > 0
-    assert kstats["replayed_epochs"] > 0
+    assert kstats["replayed_epochs"] == 0
     assert speedup >= 3.0, (
-        f"compiled kernel only {speedup:.2f}x faster than activity on "
-        f"the 16x16 steady flow — expected >=3x"
+        f"stepped compiled kernel only {speedup:.2f}x faster than "
+        f"activity on the 16x16 steady flow — expected >=3x"
     )
 
 
@@ -258,11 +249,11 @@ def test_addressing_envelope_enforced(benchmark):
     assert error_name == "TopologyError"
 
 
-# -- vector-kernel throughput vs fabric size -----------------------------------
+# -- compiled-kernel throughput vs fabric size ---------------------------------
 
 #: (mesh side, config_word_bits) — the word width must address
 #: side*side*2 elements (max_network_elements = 1 << (bits - 1)).
-VECTOR_CURVE_SIZES = [(8, 9), (16, 11), (32, 13)]
+CURVE_SIZES = [(8, 9), (16, 11), (32, 13)]
 
 #: The stretch point (8192 elements); published by the slow-marked
 #: nightly leg, not the per-PR bench run (configuration alone takes
@@ -280,19 +271,12 @@ HUGE_FABRIC_SIZE = (64, 15)
 EPOCH_BUDGET = 256
 
 
-def run_steady_corner_flow(
-    side, config_word_bits, mode, run_cycles=None, vector_shards=2
-):
+def run_steady_corner_flow(side, config_word_bits, run_cycles=None):
     """One corner-to-corner CBR flow on a side x side mesh in a
-    periodic steady state; returns ``(elapsed, net, run_cycles,
-    window)`` where ``window`` holds the measured window's replay
-    telemetry deltas.
-
-    Sharded by default: epoch replay composes with sharding, and the
-    published curve asserts exactly that (`replay_coverage` > 0 under
-    ``vector_shards=2``); pass ``vector_shards=1`` for the unsharded
-    reference.  ``run_cycles=None`` applies the adaptive budget of
-    ``EPOCH_BUDGET`` steady epochs.
+    periodic steady state on the compiled kernel; returns ``(elapsed,
+    net, run_cycles, window)`` where ``window`` holds the measured
+    window's replay telemetry deltas.  ``run_cycles=None`` applies the
+    adaptive budget of ``EPOCH_BUDGET`` steady epochs.
     """
     params = daelite_parameters(
         slot_table_size=16, config_word_bits=config_word_bits
@@ -300,12 +284,7 @@ def run_steady_corner_flow(
     mesh = build_mesh(side, side)
     dst = ni_name(side - 1, side - 1)
     net, _, handle = connected_daelite(
-        mesh,
-        params,
-        "NI00",
-        dst,
-        kernel_mode=mode,
-        vector_shards=vector_shards,
+        mesh, params, "NI00", dst, kernel_mode=COMPILED_MODE
     )
     # Stay under the credit-window limit of the long path: ~8 credits
     # per round trip of ~7 cycles/hop, so the sustainable period grows
@@ -330,8 +309,8 @@ def run_steady_corner_flow(
     net.kernel.add(gen)
     net.kernel.add(sink)
     # Settle into the steady state: at least two full steady periods,
-    # so even fabrics whose period exceeds the old fixed 2000-cycle
-    # lead-in (64x64: P = 2016) enter the measured window settled.
+    # so even fabrics whose period exceeds a fixed 2000-cycle lead-in
+    # (64x64: P = 2016) enter the measured window settled.
     net.run(max(2_000, 2 * steady_period))
     settled = net.kernel.kernel_stats()
     started = time.perf_counter()
@@ -348,45 +327,60 @@ def run_steady_corner_flow(
 
 
 def _measure_curve_row(side, bits):
-    """Best-of-2 throughput row for one fabric size, with replay
-    provenance (`replay_coverage`, `regimes_detected`) from the faster
-    run's kernel telemetry."""
-    runs = [
-        run_steady_corner_flow(side, bits, VECTOR_MODE) for _ in range(2)
-    ]
-    wall = min(w for w, _, _, _ in runs)
-    _, _net, run_cycles, window = runs[0]
+    """Best-of-2 throughput row for one fabric size: stepped (replay
+    withheld) and replayed, with replay provenance (`replay_coverage`,
+    `regimes_detected`) from the replayed runs' kernel telemetry."""
+    with replay_off():
+        stepped = [run_steady_corner_flow(side, bits) for _ in range(2)]
+    replayed = [run_steady_corner_flow(side, bits) for _ in range(2)]
+    _, _, run_cycles, window = replayed[0]
     return {
         "mesh": f"{side}x{side}",
         "elements": side * side * 2,
         "config_word_bits": bits,
         "measured_cycles": run_cycles,
-        "cycles_per_second": round(run_cycles / wall),
+        "stepped_cycles_per_s": round(
+            run_cycles / min(run[0] for run in stepped)
+        ),
+        "stepped_replayed_epochs": max(
+            run[3]["replayed_epochs"] for run in stepped
+        ),
+        "replayed_cycles_per_s": round(
+            run_cycles / min(run[0] for run in replayed)
+        ),
         "replayed_epochs": window["replayed_epochs"],
         "replay_coverage": round(
             window["replayed_cycles"] / run_cycles, 4
         ),
         "regimes_detected": window["regimes_detected"],
-        "vector_shards": 2,
     }
 
 
 def _print_curve(rows):
-    print("\nVECTOR KERNEL — steady-flow throughput vs fabric size")
+    print("\nCOMPILED KERNEL — steady-flow throughput vs fabric size")
     print(
-        f"{'mesh':>7} {'elements':>9} {'cycles/s':>12} {'epochs':>7} "
-        f"{'coverage':>9} {'regimes':>8}"
+        f"{'mesh':>7} {'elements':>9} {'stepped/s':>12} "
+        f"{'replayed/s':>12} {'epochs':>7} {'coverage':>9}"
     )
     for row in rows:
         print(
             f"{row['mesh']:>7} {row['elements']:>9} "
-            f"{row['cycles_per_second']:>12,} {row['replayed_epochs']:>7} "
-            f"{row['replay_coverage']:>9.3f} {row['regimes_detected']:>8}"
+            f"{row['stepped_cycles_per_s']:>12,} "
+            f"{row['replayed_cycles_per_s']:>12,} "
+            f"{row['replayed_epochs']:>7} {row['replay_coverage']:>9.3f}"
         )
 
 
+def _check_row(row):
+    assert row["stepped_replayed_epochs"] == 0, (
+        f"replay engaged with replay withheld on {row['mesh']}"
+    )
+    assert row["replayed_epochs"] > 0, f"no replay on {row['mesh']}"
+    assert row["replay_coverage"] > 0, f"no coverage on {row['mesh']}"
+
+
 def _merge_curve_rows(new_rows):
-    """Merge rows into the vector_scalability curve of
+    """Merge rows into the compiled_scalability curve of
     ``BENCH_kernel.json`` (created by bench_kernel_compiled, which
     sorts before this file); tolerate a standalone run where the
     record — or the curve — does not exist yet.  Rows merge by mesh
@@ -397,57 +391,50 @@ def _merge_curve_rows(new_rows):
         record = json.loads(path.read_text())
     curve = {
         row["mesh"]: row
-        for row in record.get("vector_scalability", {}).get("curve", [])
+        for row in record.get("compiled_scalability", {}).get("curve", [])
     }
     for row in new_rows:
         curve[row["mesh"]] = row
-    record["vector_scalability"] = {
+    record["compiled_scalability"] = {
         "workload": "corner-to-corner CBR flow, T=16",
-        "kernel_mode": VECTOR_MODE,
+        "kernel_mode": COMPILED_MODE,
         "aggregation": "best-of-2",
         "curve": sorted(curve.values(), key=lambda r: r["elements"]),
     }
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def test_vector_throughput_curve_to_32x32(benchmark):
-    """The vector kernel completes a steady 32x32 (2048-element) fabric
-    and its cycles/s-vs-size curve lands in ``BENCH_kernel.json``.
+def test_compiled_throughput_curve_to_32x32(benchmark):
+    """The compiled kernel completes a steady 32x32 (2048-element)
+    fabric, stepped and replayed, and both cycles/s-vs-size curves land
+    in ``BENCH_kernel.json``.
 
-    The curve also pins the scaling claim itself: vector throughput on
-    32x32 must stay within ~20x of the 8x8 point (per-cycle work grows
-    with fabric size only through the stepped boundary cycles and the
-    materialized word volume, not the register count), where a
-    per-register scalar engine degrades far faster.  Every row runs
-    **sharded** (``vector_shards=2``) and must still replay — the
-    sharded-replay composition is part of the published claim.
+    The curve also pins the scaling claim itself: stepped throughput on
+    32x32 must stay within ~20x of the 8x8 point (the engine's per-cycle
+    work follows the words in flight and their paths, not the register
+    count), and every replayed row must actually replay.
     """
 
     def sweep():
-        return [
-            _measure_curve_row(side, bits)
-            for side, bits in VECTOR_CURVE_SIZES
-        ]
+        return [_measure_curve_row(side, bits) for side, bits in CURVE_SIZES]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     _print_curve(rows)
     by_mesh = {row["mesh"]: row for row in rows}
-    assert by_mesh["32x32"]["cycles_per_second"] > 0
     for row in rows:
-        assert row["replayed_epochs"] > 0, f"no replay on {row['mesh']}"
-        assert row["replay_coverage"] > 0, f"no coverage on {row['mesh']}"
+        _check_row(row)
     assert (
-        by_mesh["8x8"]["cycles_per_second"]
-        < 20 * by_mesh["32x32"]["cycles_per_second"]
-    ), "vector throughput collapsed between 8x8 and 32x32"
+        by_mesh["8x8"]["stepped_cycles_per_s"]
+        < 20 * by_mesh["32x32"]["stepped_cycles_per_s"]
+    ), "stepped throughput collapsed between 8x8 and 32x32"
     _merge_curve_rows(rows)
 
 
 @pytest.mark.slow
-def test_vector_throughput_64x64(benchmark):
+def test_compiled_throughput_64x64(benchmark):
     """Nightly stretch point: the 64x64 fabric (8192 elements) joins
     the published curve.  Configuration dominates (tens of seconds);
-    the measured window itself replays almost entirely, so the point
+    the replayed window replays almost entirely, so the point
     demonstrates that throughput is set by the steady-state compiler,
     not the register count."""
     side, bits = HUGE_FABRIC_SIZE
@@ -457,7 +444,7 @@ def test_vector_throughput_64x64(benchmark):
 
     row = benchmark.pedantic(sweep, rounds=1, iterations=1)
     _print_curve([row])
-    assert row["replayed_epochs"] > 0
+    _check_row(row)
     assert row["replay_coverage"] > 0.5, (
         "the 64x64 window should be replay-dominated, measured "
         f"coverage {row['replay_coverage']}"

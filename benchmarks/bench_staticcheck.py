@@ -1,13 +1,13 @@
 """Prover wall-time bench: ``staticcheck --prove`` must stay cheap.
 
-The data-plane provers (OP op-table walk, RS shard race proof) run in
-CI on every push, so their cost curve matters: this bench times one
-full ``prove_network`` pass — build + lower + verify — per fabric size
-(8x8 through 32x32) and shard count (1 through 4), and records the
-verify-only share separately so a regression in the prover itself is
-distinguishable from one in network construction or lowering.
+The op-table prover (OP rules) runs in CI on every push, so its cost
+curve matters: this bench times one full ``prove_network`` pass —
+build + lower + verify — per fabric size (8x8 through 32x32), and
+records the verify-only share separately so a regression in the prover
+itself is distinguishable from one in network construction or
+lowering.
 
-The 32x32 / 4-shard point is the headline number; results land in
+The 32x32 point is the headline number; results land in
 ``BENCH_staticcheck.json``.
 """
 
@@ -23,46 +23,35 @@ from repro.staticcheck import (
     build_daelite_case,
     verify_components,
     verify_op_tables,
-    verify_shard_plan,
 )
 
-#: (mesh side, config_word_bits) — mirrors the vector-kernel
+#: (mesh side, config_word_bits) — mirrors the compiled-kernel
 #: scalability curve; the word width must address side*side*2 elements.
 PROVE_CURVE_SIZES = [(8, 9), (16, 11), (32, 13)]
-
-PROVE_CURVE_SHARDS = [1, 2, 4]
 
 #: The prover must stay CI-friendly at the largest shipped fabric.
 MAX_PROVE_SECONDS_32X32 = 60.0
 
 
-def timed_prove(side, config_word_bits, shards):
+def timed_prove(side, config_word_bits):
     """One full prove pass, instrumented per stage.
 
     Returns a row with build/lower/verify wall-times, the register and
     finding counts, and the proof verdict (which must be clean).
     """
     started = time.perf_counter()
-    network = build_daelite_case(
-        side, config_word_bits=config_word_bits, shards=shards
-    )
+    network = build_daelite_case(side, config_word_bits=config_word_bits)
     built = time.perf_counter()
     engine = lower_network(network)
     assert not isinstance(engine, CompileRefusal), engine
     lowered = time.perf_counter()
-    try:
-        artifacts = engine.lowered_artifacts()
-        findings = list(verify_op_tables(artifacts))
-        findings.extend(verify_components(network))
-        vector = engine.vector_artifacts()
-        findings.extend(verify_shard_plan(vector))
-    finally:
-        engine.close()
+    artifacts = engine.lowered_artifacts()
+    findings = list(verify_op_tables(artifacts))
+    findings.extend(verify_components(network))
     verified = time.perf_counter()
     assert findings == [], [f.render() for f in findings]
     return {
         "mesh": f"{side}x{side}",
-        "shards": shards,
         "registers": len(artifacts.register_names),
         "wheel": artifacts.wheel,
         "build_seconds": built - started,
@@ -74,36 +63,26 @@ def timed_prove(side, config_word_bits, shards):
 
 
 def test_prove_wall_time_curve(benchmark):
-    """Time the prove pass across the size x shards matrix and pin the
-    32x32 / 4-shard headline point under ``MAX_PROVE_SECONDS_32X32``."""
+    """Time the prove pass across the size matrix and pin the 32x32
+    headline point under ``MAX_PROVE_SECONDS_32X32``."""
 
     def sweep():
-        rows = []
-        for side, bits in PROVE_CURVE_SIZES:
-            for shards in PROVE_CURVE_SHARDS:
-                rows.append(timed_prove(side, bits, shards))
-        return rows
+        return [timed_prove(side, bits) for side, bits in PROVE_CURVE_SIZES]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    headline = next(
-        row
-        for row in rows
-        if row["mesh"] == "32x32" and row["shards"] == 4
-    )
+    headline = next(row for row in rows if row["mesh"] == "32x32")
     assert headline["total_seconds"] < MAX_PROVE_SECONDS_32X32
     write_bench_json(
         "staticcheck",
         {
             "prove_curve": rows,
-            "headline_32x32_shards4_seconds": headline[
-                "total_seconds"
-            ],
+            "headline_32x32_seconds": headline["total_seconds"],
             "max_allowed_seconds": MAX_PROVE_SECONDS_32X32,
         },
     )
     for row in rows:
         print(
-            f"\nprove {row['mesh']} shards={row['shards']}: "
+            f"\nprove {row['mesh']}: "
             f"{row['total_seconds']:.3f}s "
             f"(verify {row['verify_seconds']:.3f}s, "
             f"{row['registers']} registers)"

@@ -19,6 +19,7 @@ from ..alloc.spec import AllocatedConnection, AllocatedMulticast
 from ..errors import ConfigurationError, ReproError, TopologyError
 from ..params import NetworkParameters, daelite_parameters
 from ..sim.compiled import install_compile_provider
+from ..sim.flit import Phit
 from ..sim.kernel import NAIVE_MODE, Kernel
 from ..sim.link import Link, NarrowLink
 from ..sim.stats import StatsCollector
@@ -62,17 +63,9 @@ class DaeliteNetwork:
         strict: bool = False,
         tracer: Optional[Tracer] = None,
         kernel_mode: Optional[str] = None,
-        vector_shards: Optional[int] = None,
-        vector_workers: Optional[int] = None,
     ) -> None:
         self.topology = topology
         self.tracer = tracer or NULL_TRACER
-        #: Vector-engine sharding knobs (see repro.sim.vector): number
-        #: of register tiles, and how many forked worker processes to
-        #: spread them over (0 = all tiles in-process).  ``None`` defers
-        #: to the REPRO_VECTOR_SHARDS / REPRO_VECTOR_WORKERS env vars.
-        self.vector_shards = vector_shards
-        self.vector_workers = vector_workers
         self.params = params or daelite_parameters()
         topology.validate(
             max_elements=self.params.max_network_elements, max_arity=7
@@ -325,14 +318,24 @@ class DaeliteNetwork:
     def drain(self, max_cycles: int = 100_000) -> None:
         """Run until every queued word has been injected and delivered.
 
+        The stats mark a multicast word delivered at its first
+        destination, so drain also waits until no data-plane register
+        holds a word: copies on longer branches reach their NIs too.
+
         Raises:
             SimulationError: if words fail to drain in ``max_cycles`` —
                 e.g. a source channel was left disabled or starved of
                 credits.
         """
+        registers = self.kernel.all_registers()
 
         def idle() -> bool:
             if self.stats.undelivered():
+                return False
+            if any(
+                isinstance(register.q, Phit) and register.q.word is not None
+                for register in registers
+            ):
                 return False
             return all(
                 not source.queue

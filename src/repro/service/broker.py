@@ -846,16 +846,13 @@ class ConnectionBroker:
 
         Churn repeatedly cycles each shard through a small set of
         schedule images (set-up, tear-down, repair), so the lowering
-        cache should convert most recompiles into dict lookups and the
-        regime cache should let revisited steady regimes replay at the
-        first boundary.  Summed across shards for SLO dashboards; the
-        per-shard numbers stay available via ``kernel_stats()``.
+        cache should convert most recompiles into dict lookups.  Summed
+        across shards for SLO dashboards; the per-shard numbers stay
+        available via ``kernel_stats()``.
         """
         merged = {
             "lowering_cache_hits": 0,
             "lowering_cache_misses": 0,
-            "regime_cache_hits": 0,
-            "regime_cache_stores": 0,
             "regimes_detected": 0,
         }
         for shard in self.shards:

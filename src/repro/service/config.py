@@ -2,8 +2,8 @@
 
 Every operational knob of the connection service can come from three
 places, in priority order: a programmatic argument, an environment
-variable, or the built-in default.  The resolution contract mirrors the
-vector kernel's shard knobs (DESIGN.md §13):
+variable, or the built-in default.  The resolution contract is the
+one the compiled kernel's lowering-cache knob follows (DESIGN.md §10):
 
 * **Programmatic** values are the caller's code — a bad one is a bug,
   so it raises :class:`~repro.errors.ServiceConfigError` immediately.

@@ -6,7 +6,6 @@ from .kernel import (
     COMPILED_MODE,
     KERNEL_MODE_ENV,
     NAIVE_MODE,
-    VECTOR_MODE,
     Component,
     Kernel,
     Register,
@@ -24,7 +23,6 @@ __all__ = [
     "COMPILED_MODE",
     "KERNEL_MODE_ENV",
     "NAIVE_MODE",
-    "VECTOR_MODE",
     "Component",
     "Kernel",
     "Register",

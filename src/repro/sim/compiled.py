@@ -57,7 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import SimulationError
 from .flit import Phit, Word
-from .kernel import VECTOR_MODE, CompileRefusal, Kernel, Register
+from .kernel import CompileRefusal, Kernel, Register
 from .stats import FAULT_DETECTED
 
 # Move-map operation tags (op[0]).
@@ -84,7 +84,7 @@ MAX_REPLAY_PERIOD = 1 << 16
 #: structural schedule image, so the recompile forced by every use-case
 #: switch is a dict lookup when a regime returns.  ``0`` disables the
 #: cache; malformed values refuse compilation with a typed
-#: ``unsupported_params`` (the PR-8 shard-knob contract).
+#: ``unsupported_params``.
 LOWER_CACHE_ENV = "REPRO_LOWER_CACHE"
 #: Default lowering-cache capacity (covers realistic use-case rosters;
 #: one entry per distinct programmed schedule).
@@ -143,13 +143,6 @@ def install_compile_provider(network: Any) -> None:
     The provider re-checks cheap eligibility on every acquisition and
     reuses the previous engine as long as the schedule token (slot-table
     versions + applied config actions) is unchanged.
-
-    In ``vector`` mode the provider prefers the numpy-lowered engine
-    (:mod:`repro.sim.vector`) and degrades along the typed chain
-    vector -> compiled -> activity: a vector-specific refusal is noted
-    in the kernel telemetry and the compiled interpreter serves the
-    request instead, so vector mode is never slower than compiled mode
-    and never silently wrong.
     """
 
     def provider(
@@ -161,15 +154,6 @@ def install_compile_provider(network: Any) -> None:
         token = _schedule_token(network)
         if previous is not None and previous.token == token:
             return previous
-        if kernel.mode == VECTOR_MODE:
-            from .vector import compile_vector_network
-
-            result = compile_vector_network(network, token)
-            if not isinstance(result, CompileRefusal):
-                return result
-            # Typed downgrade: record why the vector lowering refused,
-            # then serve the request with the compiled interpreter.
-            kernel._note_refusal(result)
         return compile_network(network, token)
 
     network.kernel.compile_provider = provider
@@ -193,12 +177,11 @@ def lower_network(network: Any) -> Any:
     """Compile exactly what the kernel's provider would run, offline.
 
     This is the entry point ``python -m repro.staticcheck --prove``
-    uses: the network's installed provider is consulted (so kernel-mode
-    preferences and every eligibility gate apply) and the result — an
-    engine exposing :meth:`CompiledEngine.lowered_artifacts`, or a
-    typed :class:`~repro.sim.kernel.CompileRefusal` — is returned
-    without being installed on the kernel.  Vector engines returned
-    here hold shard resources; ``close()`` them when done.
+    uses: the network's installed provider is consulted (so every
+    eligibility gate applies) and the result — an engine exposing
+    :meth:`CompiledEngine.lowered_artifacts`, or a typed
+    :class:`~repro.sim.kernel.CompileRefusal` — is returned without
+    being installed on the kernel.
     """
     provider = network.kernel.compile_provider
     if provider is None:
@@ -237,9 +220,8 @@ def _schedule_image(network: Any) -> tuple:
     pure function of: the slot wheel geometry and, per router/NI, the
     programmed forward/injection/arrival tables plus the static link
     attachment.  Two configurations with equal images lower to the same
-    move maps, occupancy and refusals, which is what makes both the
-    lowering cache and the piecewise-periodic regime cache sound across
-    use-case switches that revisit a schedule.
+    move maps, occupancy and refusals, which is what makes the lowering
+    cache sound across use-case switches that revisit a schedule.
     """
     params = network.params
     table = params.slot_table_size
@@ -279,10 +261,9 @@ def _schedule_image(network: Any) -> tuple:
 def _lower_cache_capacity(network: Any) -> Any:
     """Resolve the lowering-cache capacity knob (attribute, then env).
 
-    Mirrors the vector shard-knob contract: malformed values never
-    escape as exceptions — every parse failure becomes a typed
-    ``unsupported_params`` refusal so the degradation chain engages and
-    ``kernel_stats()`` records the reason.
+    Malformed values never escape as exceptions — every parse failure
+    becomes a typed ``unsupported_params`` refusal, so the kernel falls
+    back to the activity mode and ``kernel_stats()`` records the reason.
     """
     try:
         value = getattr(network, "lower_cache", None)
@@ -630,16 +611,12 @@ def _lower_schedule(network: Any) -> Any:
     return regs, move_map, inj_ops, occupancy
 
 
-def compile_network(
-    network: Any, token: int, engine_cls: Optional[type] = None
-) -> Any:
+def compile_network(network: Any, token: int) -> Any:
     """Flatten the configured data plane into a :class:`CompiledEngine`.
 
     Returns the engine, or a :class:`CompileRefusal` when the programmed
     schedule cannot be proven drop- and collision-free (the stepped
     kernels handle such schedules with their runtime checks instead).
-    ``engine_cls`` lets alternative executors of the same op tables
-    (the vector engine) reuse this entire lowering pipeline.
 
     The schedule-dependent products (:func:`_lower_schedule`) are
     memoized per network on the structural schedule image, so a
@@ -729,9 +706,7 @@ def compile_network(
             f"{MAX_REPLAY_PERIOD}",
         )
 
-    if engine_cls is None:
-        engine_cls = CompiledEngine
-    engine = engine_cls(
+    engine = CompiledEngine(
         network=network,
         token=token,
         wheel=wheel,
@@ -746,7 +721,6 @@ def compile_network(
         period=period,
         replay_ok=replay_ok,
     )
-    engine.schedule_image = image
     engine.replay_refusal = replay_refusal
     return engine
 
@@ -827,9 +801,6 @@ class CompiledEngine:
         self.counter_getters = getters
         self.counter_setters = setters
         self._cur: Dict[int, Phit] = {}
-        #: Structural schedule image (set by :func:`compile_network`):
-        #: the content-based key the lowering and regime caches share.
-        self.schedule_image: Any = None
         #: Typed diagnosis when ``replay_ok`` is off: the current
         #: timeline segment is genuinely aperiodic (see
         #: :attr:`CompileRefusal.APERIODIC`).  Telemetry only — the
@@ -1291,9 +1262,7 @@ class CompiledEngine:
         rel: Callable[[Word], tuple],
     ) -> tuple:
         """The non-register signature parts: channel queues, credits and
-        flags, generator phases, sink phases and sequence checkpoints.
-        Shared by the compiled signature and the vector engine's
-        tile-combined signature."""
+        flags, generator phases, sink phases and sequence checkpoints."""
         chans: List[tuple] = []
         for ni in self.nis_list:
             for channel in sorted(ni.source_channels):
@@ -1322,13 +1291,11 @@ class CompiledEngine:
                         dest.paired_source,
                     )
                 )
-        # The next-firing offset pins the generator's phase relative to
-        # the boundary.  Across same-regime boundaries (one period P
-        # apart, every generator period dividing P) it is constant, so
-        # the two-probe comparison is unchanged — but it is what makes
-        # signatures comparable across *regimes*: re-entering a cached
-        # regime with freshly started generators matches only when they
-        # fire at the same offsets the recorded epoch observed.
+        # The start offset and next-firing offset pin the generator's
+        # phase relative to the boundary.  Across same-regime boundaries
+        # (one period P apart, every generator period dividing P) they
+        # are constant, so only a generator that has not started yet
+        # or has changed rhythm breaks the two-probe comparison.
         gens_part = tuple(
             (
                 gen.done,
@@ -1513,7 +1480,7 @@ class CompiledEngine:
     ) -> None:
         """Scale every cumulative counter by ``epochs`` steady deltas
         (links, routers, generators, channel endpoints, sequence
-        counters).  Shared by the compiled and vector materializers."""
+        counters)."""
         for setter, old, now in zip(
             self.counter_setters, before["fixed"], after["fixed"]
         ):

@@ -115,17 +115,8 @@ NAIVE_MODE = "naive"
 #: (falls back to the activity kernel whenever the network is not
 #: compilable — see :mod:`repro.sim.compiled`).
 COMPILED_MODE = "compiled"
-#: Vectorized numpy data plane: the compiled op tables lowered to
-#: preallocated gather/scatter index arrays, with the same epoch replay
-#: applied in bulk (falls back vector -> compiled -> activity — see
-#: :mod:`repro.sim.vector`).
-VECTOR_MODE = "vector"
 
-_MODES = (ACTIVITY_MODE, NAIVE_MODE, COMPILED_MODE, VECTOR_MODE)
-
-#: Modes served by the compiled-engine step loop (a provider decides
-#: which engine actually backs them).
-_ENGINE_MODES = (COMPILED_MODE, VECTOR_MODE)
+_MODES = (ACTIVITY_MODE, NAIVE_MODE, COMPILED_MODE)
 
 
 class CompileRefusal:
@@ -172,7 +163,7 @@ class CompileRefusal:
     #: The kernel treats these as deferrals — it steps a bounded window
     #: on the activity kernel and re-probes — instead of falling back
     #: for the remainder of the call, so piecewise-periodic workloads
-    #: (use-case switches) re-enter compiled/vector execution and
+    #: (use-case switches) re-enter compiled execution and
     #: re-arm steady-state probing in the *new* regime.
     DEFERRABLE = frozenset((CONFIG_ACTIVE, DATAPATH_BUSY))
 
@@ -465,11 +456,6 @@ class Kernel:
         #: (a regime opens when replay first fires after a signature
         #: mismatch or reconfiguration, and closes on the next mismatch).
         self.regimes_detected = 0
-        #: Boundaries where a previously cached regime replayed
-        #: immediately, skipping the two-probe settling wait.
-        self.regime_cache_hits = 0
-        #: Regimes captured into the piecewise-periodic cache.
-        self.regime_cache_stores = 0
         #: ``lower_network`` products served from the schedule-image
         #: cache instead of recompiled (use-case-switch campaigns).
         self.lowering_cache_hits = 0
@@ -490,7 +476,7 @@ class Kernel:
 
     @property
     def mode(self) -> str:
-        """``"activity"``, ``"naive"``, ``"compiled"`` or ``"vector"``."""
+        """``"activity"``, ``"naive"`` or ``"compiled"``."""
         return self._mode
 
     def set_mode(self, mode: str) -> None:
@@ -829,8 +815,10 @@ class Kernel:
             "compile_fallbacks": dict(self.compile_fallbacks),
             "compile_deferrals": dict(self.compile_deferrals),
             "regimes_detected": self.regimes_detected,
-            "regime_cache_hits": self.regime_cache_hits,
-            "regime_cache_stores": self.regime_cache_stores,
+            # No engine caches replay regimes; the key stays, pinned at
+            # 0, because perfbench's traced run reports it as
+            # ``sim.replay.regime_cache_hits``.
+            "regime_cache_hits": 0,
             "lowering_cache_hits": self.lowering_cache_hits,
             "lowering_cache_misses": self.lowering_cache_misses,
             "replay_refusals": dict(self.replay_refusals),
@@ -928,7 +916,7 @@ class Kernel:
         with self._strict_stepping():
             if self._mode == NAIVE_MODE:
                 self._step_naive(cycles)
-            elif self._mode in _ENGINE_MODES:
+            elif self._mode == COMPILED_MODE:
                 self._step_compiled(cycles)
             else:
                 self._step_activity(cycles)

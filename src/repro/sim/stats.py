@@ -11,8 +11,7 @@ config-slot loss) claims.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..errors import SimulationError, StatsIntegrityError
 from .flit import Word
@@ -221,172 +220,6 @@ class StatsCollector:
         stats = self._stats_for(word.connection)
         stats.ejected += 1
         stats.latencies.append(cycle - record.injected_at)
-
-    # -- bulk import (vector-kernel epoch replay) -----------------------------
-
-    def bulk_record_injections(
-        self,
-        connection: str,
-        sequences: Sequence[int],
-        cycles: Sequence[int],
-    ) -> Optional[List[WordRecord]]:
-        """Record many injections of one connection at once.
-
-        Semantically identical to calling :meth:`record_injection` for
-        each (sequence, cycle) pair in order, but without constructing a
-        :class:`Word` per event — the bulk entry point the vector
-        kernel's epoch replay uses to materialize thousands of shifted
-        events cheaply.  The duplicate-injection integrity check is
-        preserved.
-
-        Returns the created :class:`WordRecord` objects in event order,
-        so a caller that goes on to record the matching ejections can
-        hand them back (see :meth:`bulk_record_ejections`'s ``found``)
-        instead of paying a dictionary lookup per event.
-        """
-        if not sequences:
-            return []
-        records = self._records
-        if len(sequences) == 1:
-            sequence = sequences[0]
-            key = (connection, sequence)
-            if key in records:
-                raise StatsIntegrityError(
-                    f"word {key} injected twice (cycles "
-                    f"{records[key].injected_at} and {cycles[0]})"
-                )
-            record = WordRecord(connection, sequence, cycles[0])
-            records[key] = record
-            self._stats_for(connection).injected += 1
-            return [record]
-        # C-level iteration end to end: map() drives the constructor,
-        # zip() builds the keys, dict() pairs them — with duplicate
-        # detection reduced to two set-sized comparisons.
-        made = list(
-            map(WordRecord, repeat(connection), sequences, cycles)
-        )
-        fresh = dict(zip(zip(repeat(connection), sequences), made))
-        if len(fresh) == len(sequences) and not (
-            records.keys() & fresh.keys()
-        ):
-            records.update(fresh)
-            self._stats_for(connection).injected += len(sequences)
-            return made
-        # A duplicate somewhere in the batch: replay the per-event walk
-        # to raise the exact record_injection error (with its partial
-        # insertion of the events preceding the duplicate).
-        for sequence, cycle in zip(sequences, cycles):
-            key = (connection, sequence)
-            if key in records:
-                raise StatsIntegrityError(
-                    f"word {key} injected twice (cycles "
-                    f"{records[key].injected_at} and {cycle})"
-                )
-            records[key] = WordRecord(
-                connection=connection,
-                sequence=sequence,
-                injected_at=cycle,
-            )
-        self._stats_for(connection).injected += len(sequences)
-        return None
-
-    def bulk_record_ejections(
-        self,
-        connection: str,
-        destination: str,
-        sequences: Sequence[int],
-        cycles: Sequence[int],
-        consecutive: bool = False,
-        found: Optional[List[WordRecord]] = None,
-        deltas: Optional[List[int]] = None,
-    ) -> None:
-        """Record many ejections of one (connection, destination) stream.
-
-        Equivalent to per-event :meth:`record_ejection` calls in order —
-        same unknown-word and out-of-order integrity errors, same
-        sequence-gap fault events, same latency bookkeeping — batched so
-        epoch replay does not pay per-event ``Word`` construction.
-
-        ``consecutive=True`` is a caller promise that ``sequences`` is a
-        strictly ascending +1 run; when it also starts exactly at the
-        stream's expected next sequence, the per-event order/gap checks
-        are provably redundant and a tighter loop is used.  Any unknown
-        word, or a run that does not start where expected, falls back to
-        the scrupulous per-event walk.
-
-        ``found`` (only honoured with ``consecutive=True``) is the
-        record list for ``sequences``, as returned by
-        :meth:`bulk_record_injections` — a caller promise, aligned
-        one-to-one, that skips the per-event dictionary lookup.
-        ``deltas`` (only honoured together with ``found``) is the
-        precomputed latency list ``cycles[i] - found[i].injected_at``,
-        letting the caller batch the subtraction too.
-        """
-        if not sequences:
-            return
-        records = self._records
-        flow = (connection, destination)
-        last = self._last_ejected.get(flow)
-        stats = self._stats_for(connection)
-        latencies = stats.latencies
-        if consecutive and sequences[0] == (
-            0 if last is None else last + 1
-        ):
-            if found is None or len(found) != len(sequences):
-                try:
-                    found = [
-                        records[(connection, sequence)]
-                        for sequence in sequences
-                    ]
-                except KeyError:
-                    found = None
-            if found is not None:
-                if deltas is not None and len(deltas) == len(
-                    sequences
-                ):
-                    for record, cycle in zip(found, cycles):
-                        if record.ejected_at is None:
-                            record.ejected_at = cycle
-                    latencies.extend(deltas)
-                else:
-                    for record, cycle in zip(found, cycles):
-                        if record.ejected_at is None:
-                            record.ejected_at = cycle
-                        latencies.append(cycle - record.injected_at)
-                self._last_ejected[flow] = sequences[-1]
-                stats.ejected += len(sequences)
-                return
-        for sequence, cycle in zip(sequences, cycles):
-            record = records.get((connection, sequence))
-            if record is None:
-                known = sorted(self.connections)
-                raise StatsIntegrityError(
-                    f"word {(connection, sequence)} ejected at "
-                    f"{destination!r} at cycle {cycle} but was never "
-                    f"injected — a misrouted or fabricated word (known "
-                    f"connections: {known})"
-                )
-            if last is not None and sequence <= last:
-                raise StatsIntegrityError(
-                    f"out-of-order delivery on {flow}: sequence "
-                    f"{sequence} after {last}"
-                )
-            expected = 0 if last is None else last + 1
-            if sequence > expected:
-                self.record_fault(
-                    cycle,
-                    FAULT_DETECTED,
-                    "sequence_gap",
-                    destination or connection,
-                    f"{connection}: expected seq {expected}, "
-                    f"got {sequence}",
-                )
-            last = sequence
-            if record.ejected_at is None:
-                record.ejected_at = cycle
-            latencies.append(cycle - record.injected_at)
-        self._last_ejected[flow] = last
-        stats.ejected += len(sequences)
 
     # -- queries --------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Static analysis for the repro code base.
 
-Two analyzer families guard the two fast paths whose correctness rests
-on convention:
+Three analyzer families guard the fast paths whose correctness rests on
+convention:
 
 * the **kernel-contract auditor** (:mod:`repro.staticcheck.contract`) —
   AST analysis proving every ``Component`` subclass declares the
@@ -13,24 +13,17 @@ on convention:
   re-derives, hop by hop, the slot-table state a configured network
   must hold from its live allocation handles and compares cell by cell
   (rules ``SC...``);
-* the **data-plane provers** — the op-table verifier
-  (:mod:`repro.staticcheck.optable`, rules ``OP...``) re-walks the
-  compiled kernel's lowered artifacts from the injection seeds and
-  proves single-writer / single-consumer / occupancy-exact / typed
-  refusal, and the shard race prover
-  (:mod:`repro.staticcheck.races`, rules ``RS...``) proves the vector
-  kernel's concurrent tile write-sets disjoint and parent-ordered.
-  ``python -m repro.staticcheck --prove`` runs both over a
-  representative network matrix (:mod:`repro.staticcheck.prove`);
-* the **numpy hot-path lints** (:mod:`repro.staticcheck.numpy_rules`,
-  rules ``NP...``) — int64-domain discipline for files opting in with
-  ``# staticcheck: numpy-hot-path``.
+* the **op-table prover** (:mod:`repro.staticcheck.optable`, rules
+  ``OP...``) — re-walks the compiled kernel's lowered artifacts from
+  the injection seeds and proves single-writer / single-consumer /
+  occupancy-exact / typed refusal.  ``python -m repro.staticcheck
+  --prove`` runs it over a representative network matrix
+  (:mod:`repro.staticcheck.prove`).
 
 Run the file rules with ``python -m repro.staticcheck [paths]``; call
 :func:`verify_network_state` from tests and examples after configuring
-a network.  The dynamic counterparts are the kernel's
-``strict_registers`` mode (:class:`repro.sim.kernel.Kernel`) and the
-vector kernel's runtime race detector (``REPRO_VECTOR_RACE_CHECK``).
+a network.  The dynamic counterpart is the kernel's
+``strict_registers`` mode (:class:`repro.sim.kernel.Kernel`).
 """
 
 from .cli import check_paths, iter_source_files, main
@@ -42,7 +35,6 @@ from .findings import (
     SuppressionIndex,
     sort_findings,
 )
-from .numpy_rules import HOT_PATH_MARKER
 from .optable import (
     ARTIFACTS_FILE,
     verify_components,
@@ -57,7 +49,6 @@ from .prove import (
     prove_network,
     run_prove,
 )
-from .races import PLAN_FILE, verify_shard_plan
 from .registry import FileContext, Rule, all_rules, run_file_rules
 from .schedule import (
     check_aelite_state,
@@ -70,8 +61,6 @@ __all__ = [
     "ClassTable",
     "FileContext",
     "Finding",
-    "HOT_PATH_MARKER",
-    "PLAN_FILE",
     "ProveCase",
     "Rule",
     "Severity",
@@ -96,5 +85,4 @@ __all__ = [
     "verify_network_state",
     "verify_op_tables",
     "verify_refusal",
-    "verify_shard_plan",
 ]

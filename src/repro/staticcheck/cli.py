@@ -21,12 +21,9 @@ from .contract import audit_contracts
 from .findings import Finding, sort_findings
 from .registry import FileContext, all_rules, run_file_rules
 
-# Imported for their registration side effects: the numpy hot-path
-# rules (NP...) run as file rules, the op-table (OP...) and shard-race
-# (RS...) provers run from --prove; all appear in --list-rules.
-from . import numpy_rules as _numpy_rules  # noqa: F401
+# Imported for its registration side effect: the op-table (OP...)
+# prover runs from --prove and appears in --list-rules.
 from . import optable as _optable  # noqa: F401
-from . import races as _races  # noqa: F401
 
 
 def iter_source_files(paths: Sequence[str]) -> List[str]:
@@ -145,8 +142,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--prove",
         action="store_true",
         help="build the representative network matrix, lower it and "
-        "run the op-table (OP...) and shard-race (RS...) provers "
-        "instead of the file rules",
+        "run the op-table (OP...) prover instead of the file rules",
     )
     parser.add_argument(
         "--prove-size",

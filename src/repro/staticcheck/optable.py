@@ -17,7 +17,8 @@ later phase — the read-after-clear discipline breaks) or more than one
 ``OP003`` occupancy mismatch — the artifact's claimed occupancy
 disagrees with what the seeds actually drive: an op gathers a column
 nothing wrote earlier in phase order, or a driven column is missing
-from the claim (the vector lowering would prune its consumer).
+from the claim (the engine would refuse a phit parked there as off the
+compiled schedule).
 ``OP004`` refusal incompleteness — a kernel component neither lowers
 to a declared classification nor maps to a typed
 :class:`~repro.sim.kernel.CompileRefusal` with a kind from the

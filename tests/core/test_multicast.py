@@ -14,6 +14,7 @@ from repro.alloc.spec import AllocatedChannel, AllocatedMulticast
 from repro.core import DaeliteNetwork, Opcode, multicast_path_packets
 from repro.errors import AllocationError
 from repro.params import daelite_parameters
+from repro.sim.flit import Phit
 from repro.topology import build_mesh
 
 
@@ -145,3 +146,30 @@ class TestMulticastStreaming:
         )
         assert len(queue.queue) == 30
         assert len(queue.queue) > params.channel_buffer_words
+
+    def test_drain_waits_for_the_longest_branch(self, mesh, params):
+        """The stats mark a multicast word delivered at its first
+        destination; drain must still run until the copies on the longer
+        branch have left the data plane."""
+        tree = allocate_tree(mesh, params, dsts=("NI01", "NI22"))
+        lengths = sorted(len(path.path) for path in tree.paths)
+        assert lengths[0] < lengths[-1]
+        net = DaeliteNetwork(mesh, params, host_ni="NI11")
+        handle = net.configure_multicast(tree)
+        payloads = list(range(12))
+        net.ni("NI00").submit_words(
+            handle.src_channel, payloads, connection="mc"
+        )
+        net.drain()
+        held = [
+            register.name
+            for register in net.kernel.all_registers()
+            if isinstance(register.q, Phit) and register.q.word is not None
+        ]
+        assert held == []
+        for dst in tree.dst_nis:
+            got = [
+                word.payload
+                for word in net.ni(dst).receive(handle.dst_channels[dst])
+            ]
+            assert got == payloads, dst

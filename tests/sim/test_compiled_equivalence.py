@@ -12,8 +12,11 @@ link/router counter must match exactly.
 
 Epoch replay is covered two ways: the Hypothesis scenarios include
 steady periodic traffic long enough for replay to engage on many
-examples, and a deterministic test pins a workload where replay *must*
-engage and still asserts bitwise equality afterwards.
+examples, and deterministic tests pin workloads where replay *must*
+engage (including a 16x16 fabric) and still assert bitwise equality
+afterwards.  Piecewise-periodic runs — use-case switches and schedule
+revisits served from the lowering cache — and the cache's
+``REPRO_LOWER_CACHE`` knob get the same differential treatment.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ from hypothesis import strategies as st
 
 from repro.aelite import AeliteNetwork
 from repro.alloc import ConnectionRequest, SlotAllocator
+from repro.alloc.usecase import UseCase, UseCaseManager
 from repro.core import DaeliteNetwork
 from repro.errors import AllocationError
 from repro.params import aelite_parameters, daelite_parameters
-from repro.sim.kernel import ACTIVITY_MODE, COMPILED_MODE
+from repro.sim.compiled import LOWER_CACHE_ENV
+from repro.sim.kernel import ACTIVITY_MODE, COMPILED_MODE, CompileRefusal
 from repro.topology import build_mesh, ni_name
 from repro.traffic.generators import (
     BurstGenerator,
@@ -58,6 +63,8 @@ class Scenario:
     sinks: Tuple[Tuple[str, int, int], ...]
     #: step() chunk sizes driven against both builds.
     chunks: Tuple[int, ...]
+    #: Config word width: must address every element of the mesh.
+    config_word_bits: int = 7
 
 
 DIMS = [(1, 2), (2, 2), (2, 3), (3, 3)]
@@ -180,10 +187,12 @@ def make_sink(index, spec, receive, stats):
     )
 
 
-def build_daelite(scenario: Scenario, mode: str, **net_kwargs):
-    params = daelite_parameters(slot_table_size=8)
+def build_daelite(scenario: Scenario, mode: str):
+    params = daelite_parameters(
+        slot_table_size=8, config_word_bits=scenario.config_word_bits
+    )
     mesh, allocated = allocate(scenario, params)
-    net = DaeliteNetwork(mesh, params, kernel_mode=mode, **net_kwargs)
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
     handles = [net.configure(connection) for connection in allocated]
     for handle in handles:
         net.run_until_configured(handle)
@@ -303,11 +312,21 @@ def steady_scenario() -> Scenario:
     )
 
 
-def test_epoch_replay_is_bit_exact():
-    """After thousands of arithmetically replayed cycles, registers,
-    latency histograms, per-connection counters, and CheckingSink
-    sequence state still match stepped execution exactly."""
-    scenario = steady_scenario()
+def far_corner_scenario() -> Scenario:
+    """One corner-to-corner flow across a 16x16 fabric (512 elements):
+    replay must land bit-exactly on a large register file too."""
+    return Scenario(
+        width=16,
+        height=16,
+        connections=(("NI00", ni_name(15, 15), 2),),
+        generators=(("cbr", 40, 0, 0, 1),),
+        sinks=(("checking", 2, 4),),
+        chunks=(7, 400, 2600, 993),
+        config_word_bits=11,
+    )
+
+
+def assert_replay_is_bit_exact(scenario: Scenario):
     net_c = run_chunked_differential(scenario)
     kernel_stats = net_c.kernel.kernel_stats()
     assert kernel_stats["compiled_cycles"] > 0
@@ -315,6 +334,20 @@ def test_epoch_replay_is_bit_exact():
         f"replay never engaged on the steady workload: {kernel_stats}"
     )
     assert kernel_stats["replayed_cycles"] > 1_000
+    assert net_c.stats.delivered_words("c0") > 0
+
+
+def test_epoch_replay_is_bit_exact():
+    """After thousands of arithmetically replayed cycles, registers,
+    latency histograms, per-connection counters, and CheckingSink
+    sequence state still match stepped execution exactly."""
+    assert_replay_is_bit_exact(steady_scenario())
+
+
+def test_epoch_replay_is_bit_exact_16x16():
+    """The same replay differential on a 16x16 fabric (512 elements)
+    with one corner-to-corner flow."""
+    assert_replay_is_bit_exact(far_corner_scenario())
 
 
 def test_replay_defers_until_finite_generators_drain():
@@ -397,3 +430,311 @@ def test_aelite_compiled_mode_matches_activity(scenario: Scenario):
         kernel_stats["compile_fallbacks"].get("unsupported_component", 0)
         > 0
     )
+
+
+# -- use-case switch campaign --------------------------------------------------
+
+
+def run_switch_campaign(mode: str):
+    """Boot use-case -> steady traffic -> switch to run use-case ->
+    steady traffic again, with checkpointed snapshots throughout.
+
+    Exercises the piecewise-periodic machinery: the engine defers
+    (CONFIG_ACTIVE / DATAPATH_BUSY) across the switch instead of
+    abandoning the run, then re-probes and replays in the new regime.
+    """
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(2, 2)
+    manager = UseCaseManager(topology=mesh, params=params)
+    manager.add_usecase(
+        UseCase(
+            "boot",
+            (
+                ConnectionRequest(
+                    "a", "NI00", "NI11", forward_slots=2, reverse_slots=1
+                ),
+            ),
+        )
+    )
+    manager.add_usecase(
+        UseCase(
+            "run",
+            (
+                ConnectionRequest(
+                    "b", "NI10", "NI01", forward_slots=2, reverse_slots=1
+                ),
+            ),
+        )
+    )
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    checkpoints = []
+    gens, sinks = [], []
+
+    handle_a = net.configure(manager.allocation("boot", "a"))
+    net.run_until_configured(handle_a)
+    gen_a = CbrGenerator(
+        "gen_a",
+        inject=net.ni("NI00").injector(handle_a.forward.src_channel, "a"),
+        period=5,
+        total_words=60,
+    )
+    sink_a = CheckingSink(
+        "sink_a",
+        receive=net.ni("NI11").receiver(handle_a.forward.dst_channel),
+        words_per_cycle=2,
+        stats=net.stats,
+    )
+    net.kernel.add(gen_a)
+    net.kernel.add(sink_a)
+    gens.append(gen_a)
+    sinks.append(sink_a)
+    for chunk in (7, 600, 393):
+        net.run(chunk)
+        checkpoints.append(full_snapshot(net, gens, sinks))
+    pre_switch = net.kernel.kernel_stats()
+
+    # The switch: tear down "a", set up "b", stepping while config
+    # words are in flight on the tree.
+    teardown = net.host.teardown_connection(
+        handle_a, manager.allocation("boot", "a")
+    )
+    net.run(5)
+    checkpoints.append(full_snapshot(net, gens, sinks))
+    net.run_until_configured(teardown)
+    handle_b = net.configure(manager.allocation("run", "b"))
+    net.run_until_configured(handle_b)
+    # Two forward slots of an 8-slot wheel carry one word per 8 cycles;
+    # period 10 keeps the flow below capacity so the post-switch steady
+    # state is exactly periodic (an overloaded queue grows every epoch
+    # and correctly never replays).
+    gen_b = CbrGenerator(
+        "gen_b",
+        inject=net.ni("NI10").injector(handle_b.forward.src_channel, "b"),
+        period=10,
+    )
+    sink_b = CheckingSink(
+        "sink_b",
+        receive=net.ni("NI01").receiver(handle_b.forward.dst_channel),
+        words_per_cycle=2,
+        stats=net.stats,
+    )
+    net.kernel.add(gen_b)
+    net.kernel.add(sink_b)
+    gens.append(gen_b)
+    sinks.append(sink_b)
+    for chunk in (3, 2000, 997):
+        net.run(chunk)
+        checkpoints.append(full_snapshot(net, gens, sinks))
+    assert sink_a.clean and sink_b.clean
+    return net, checkpoints, pre_switch
+
+
+def test_usecase_switch_campaign_is_bit_exact():
+    """The compiled engine rides through a use-case switch — deferring
+    while the tree reconfigures, then replaying the *new* steady state —
+    with every checkpoint identical to the activity reference."""
+    net_c, chk_c, pre_switch = run_switch_campaign(COMPILED_MODE)
+    net_a, chk_a, _ = run_switch_campaign(ACTIVITY_MODE)
+    assert len(chk_c) == len(chk_a)
+    for index, (snap_c, snap_a) in enumerate(zip(chk_c, chk_a)):
+        assert snap_c == snap_a, f"checkpoint {index} diverged"
+    stats = net_c.kernel.kernel_stats()
+    # The switch produced typed deferrals, not a permanent fallback ...
+    assert sum(stats["compile_deferrals"].values()) > 0
+    # ... and both engine execution and epoch replay re-engaged in the
+    # *new* regime, after the reconfiguration.
+    assert stats["compiled_cycles"] > pre_switch["compiled_cycles"]
+    assert stats["replayed_epochs"] > pre_switch["replayed_epochs"]
+    assert stats["replayed_cycles"] > pre_switch["replayed_cycles"]
+    assert net_c.stats.delivered_words("a") == 60
+    assert net_c.stats.delivered_words("b") > 0
+
+
+# -- regime-revisit campaign (lowering cache) ---------------------------------
+
+
+def run_regime_revisit_campaign(mode: str):
+    """One steady CBR flow rides through three config switches that
+    alternate the schedule between two images: base (only "a"
+    configured) and extended ("a" + an idle "b").  Each switch bumps
+    the schedule version and forces a recompile; each *return* to a
+    previously seen image must be served from the lowering cache.
+
+    Returns the net, the per-chunk full snapshots, and per-segment
+    replay deltas ``(label, replayed_epochs_delta)``.
+    """
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(2, 2)
+    allocator = SlotAllocator(topology=mesh, params=params)
+    conn_a = allocator.allocate_connection(
+        ConnectionRequest(
+            "a", "NI00", "NI11", forward_slots=2, reverse_slots=1
+        )
+    )
+    conn_b = allocator.allocate_connection(
+        ConnectionRequest(
+            "b", "NI10", "NI01", forward_slots=2, reverse_slots=1
+        )
+    )
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    handle_a = net.configure(conn_a)
+    net.run_until_configured(handle_a)
+    gen_a = CbrGenerator(
+        "gen_a",
+        inject=net.ni("NI00").injector(handle_a.forward.src_channel, "a"),
+        period=10,
+    )
+    sink_a = CheckingSink(
+        "sink_a",
+        receive=net.ni("NI11").receiver(handle_a.forward.dst_channel),
+        words_per_cycle=2,
+        stats=net.stats,
+    )
+    net.kernel.add(gen_a)
+    net.kernel.add(sink_a)
+    gens, sinks = [gen_a], [sink_a]
+    checkpoints = []
+    segments = []
+
+    def steady_segment(label):
+        start = net.kernel.kernel_stats()["replayed_epochs"]
+        for chunk in (5, 700, 595):
+            net.run(chunk)
+            checkpoints.append(full_snapshot(net, gens, sinks))
+        delta = net.kernel.kernel_stats()["replayed_epochs"] - start
+        segments.append((label, delta))
+
+    steady_segment("base")
+    # Switch 1: extend the schedule with the (idle) connection "b".
+    handle_b = net.configure(conn_b)
+    net.run_until_configured(handle_b)
+    steady_segment("extended")
+    # Switch 2: tear "b" down and recycle its channel indices — the
+    # service churn discipline.  Recycling is what makes this a true
+    # *revisit*: the quiesced channels leave no driver-side residue,
+    # so the network returns to the exact base image and state shape.
+    teardown = net.host.teardown_connection(handle_b, conn_b)
+    net.run_until_configured(teardown)
+    net.host.recycle_connection_indices(handle_b, conn_b)
+    steady_segment("base-revisit")
+    # Switch 3: re-extend — revisiting the extended regime.
+    handle_b2 = net.configure(conn_b)
+    net.run_until_configured(handle_b2)
+    steady_segment("extended-revisit")
+    assert sink_a.clean
+    return net, checkpoints, segments
+
+
+def test_regime_revisit_campaign_reuses_lowerings():
+    """Three use-case switches, two of them revisiting a prior regime:
+    the compiled engine replays in *every* regime, bit-identical to the
+    activity reference, and the revisits are served from the lowering
+    cache (no re-lowering)."""
+    net_c, chk_c, seg_c = run_regime_revisit_campaign(COMPILED_MODE)
+    net_a, chk_a, _ = run_regime_revisit_campaign(ACTIVITY_MODE)
+    assert len(chk_c) == len(chk_a)
+    for index, (snap_c, snap_a) in enumerate(zip(chk_c, chk_a)):
+        assert snap_c == snap_a, f"checkpoint {index} diverged"
+    for label, delta in seg_c:
+        assert delta > 0, f"segment {label!r} never replayed: {seg_c}"
+    stats = net_c.kernel.kernel_stats()
+    assert stats["regimes_detected"] >= 4, stats
+    # Re-entering a known schedule image skipped re-lowering.
+    assert stats["lowering_cache_hits"] >= 2, stats
+    assert net_c.stats.delivered_words("a") > 0
+
+
+def build_shared_channel_flow(mode: str):
+    """Two generators feeding one channel under the same label: the
+    per-connection shifts replay depends on are ambiguous."""
+    params = daelite_parameters(slot_table_size=8)
+    mesh = build_mesh(2, 2)
+    allocator = SlotAllocator(topology=mesh, params=params)
+    conn = allocator.allocate_connection(
+        ConnectionRequest(
+            "dup", "NI00", "NI11", forward_slots=2, reverse_slots=1
+        )
+    )
+    net = DaeliteNetwork(mesh, params, kernel_mode=mode)
+    handle = net.configure(conn)
+    net.run_until_configured(handle)
+    gens = [
+        CbrGenerator(
+            f"gen{i}",
+            inject=net.ni("NI00").injector(
+                handle.forward.src_channel, "dup"
+            ),
+            period=period,
+        )
+        for i, period in enumerate((10, 15))
+    ]
+    sink = CheckingSink(
+        "sink",
+        receive=net.ni("NI11").receiver(handle.forward.dst_channel),
+        words_per_cycle=2,
+        stats=net.stats,
+    )
+    for gen in gens:
+        net.kernel.add(gen)
+    net.kernel.add(sink)
+    return net, gens, [sink]
+
+
+def test_shared_channel_records_aperiodic_replay_refusal():
+    """A genuinely aperiodic-for-replay segment is a *diagnosis*, not a
+    fallback: the engine keeps executing its fast path bit-exactly and
+    ``kernel_stats()`` records a typed ``aperiodic_segment`` entry in
+    ``replay_refusals`` — never in ``compile_fallbacks``."""
+    net_f, gens_f, sinks_f = build_shared_channel_flow(COMPILED_MODE)
+    net_a, gens_a, sinks_a = build_shared_channel_flow(ACTIVITY_MODE)
+    for chunk in (5, 700, 595):
+        net_f.run(chunk)
+        net_a.run(chunk)
+        assert full_snapshot(net_f, gens_f, sinks_f) == full_snapshot(
+            net_a, gens_a, sinks_a
+        )
+    stats = net_f.kernel.kernel_stats()
+    assert stats["compiled_cycles"] > 0
+    assert stats["replayed_epochs"] == 0
+    assert stats["replay_refusals"].get(CompileRefusal.APERIODIC, 0) > 0
+    assert CompileRefusal.APERIODIC not in stats["compile_fallbacks"]
+    assert net_f.stats.delivered_words("dup") > 0
+
+
+# -- lowering-cache knob (REPRO_LOWER_CACHE) -----------------------------------
+
+
+@pytest.mark.parametrize("raw", ["sixteen", "4.5"], ids=str)
+def test_malformed_lower_cache_env_degrades_typed(monkeypatch, raw):
+    """A malformed capacity never escapes as an exception or a
+    truncated value: compilation refuses with a typed
+    ``unsupported_params`` and the run lands on the activity kernel —
+    still bit-exact per the differential."""
+    monkeypatch.setenv(LOWER_CACHE_ENV, raw)
+    net = run_chunked_differential(steady_scenario())
+    stats = net.kernel.kernel_stats()
+    fallbacks = stats["compile_fallbacks"]
+    assert fallbacks.get(CompileRefusal.UNSUPPORTED_PARAMS, 0) > 0
+    assert stats["last_refusal"] == CompileRefusal.UNSUPPORTED_PARAMS
+    assert "invalid lowering-cache setting" in stats[
+        "last_refusal_detail"
+    ]
+    assert stats["compiled_cycles"] == 0
+
+
+def test_zero_lower_cache_disables_cleanly(monkeypatch):
+    """``0`` is a *valid* setting that switches the cache off: no
+    refusal, the engine still compiles and replays, and the cache
+    records no hits."""
+    monkeypatch.setenv(LOWER_CACHE_ENV, "0")
+    net = run_chunked_differential(steady_scenario())
+    stats = net.kernel.kernel_stats()
+    assert (
+        stats["compile_fallbacks"].get(
+            CompileRefusal.UNSUPPORTED_PARAMS, 0
+        )
+        == 0
+    )
+    assert stats["compiled_cycles"] > 0
+    assert stats["replayed_epochs"] > 0
+    assert stats["lowering_cache_hits"] == 0

@@ -147,3 +147,34 @@ class TestKernel:
         register.drive("x")
         kernel.step(1)
         assert register.q == "x"
+
+
+class TestModeSelection:
+    """Only ``naive``, ``activity`` and ``compiled`` exist; any other
+    value is refused with the list of the three."""
+
+    @staticmethod
+    def assert_names_modes(error):
+        message = str(error.value)
+        for mode in ("activity", "naive", "compiled"):
+            assert repr(mode) in message
+
+    @pytest.mark.parametrize("mode", ["vector", "bogus"])
+    def test_unknown_constructor_mode(self, mode):
+        with pytest.raises(SimulationError) as error:
+            Kernel(mode=mode)
+        self.assert_names_modes(error)
+
+    @pytest.mark.parametrize("mode", ["vector", "bogus"])
+    def test_unknown_environment_mode(self, monkeypatch, mode):
+        monkeypatch.setenv("REPRO_KERNEL_MODE", mode)
+        with pytest.raises(SimulationError) as error:
+            Kernel()
+        self.assert_names_modes(error)
+
+    def test_unknown_mode_switch(self):
+        kernel = Kernel(mode="activity")
+        with pytest.raises(SimulationError) as error:
+            kernel.set_mode("vector")
+        self.assert_names_modes(error)
+        assert kernel.mode == "activity"

@@ -1,25 +1,24 @@
-"""Planted-violation corpus for the data-plane provers.
+"""Planted-violation corpus for the data-plane prover.
 
 Each ``plant_*`` builder returns ``(artifact, expected_codes)`` — a
-hand-crafted :class:`repro.sim.compiled.LoweredArtifacts` or
-:class:`repro.sim.vector.VectorArtifacts` carrying exactly one class of
+hand-crafted :class:`repro.sim.compiled.LoweredArtifacts` (or a
+:class:`repro.sim.kernel.CompileRefusal`) carrying exactly one class of
 defect, plus the *exact* set of rule codes the prover must report for
 it.  ``clean_*`` builders return provably clean artifacts (expected
 codes: the empty set) so the corpus also pins the no-false-positive
 side.
 
-The shapes are tiny on purpose: three or four registers, a four-phase
-wheel, two shard tiles — small enough that the expected walk can be
+The shapes are tiny on purpose: three or four registers and a
+four-phase wheel — small enough that the expected walk can be
 checked by hand in the docstrings.
 """
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.sim.compiled import LoweredArtifacts, LoweredOp
 from repro.sim.kernel import CompileRefusal
-from repro.sim.vector import PhaseRound, PhaseTabView, VectorArtifacts
 
 # -- op-table corpus (OP rules) ------------------------------------------------
 
@@ -172,255 +171,6 @@ def clean_declared_refusal() -> Tuple[CompileRefusal, FrozenSet[str]]:
     )
 
 
-# -- shard-plan corpus (RS rules) ----------------------------------------------
-#
-# Four registers split into two tiles: tile 0 owns columns {0, 1},
-# tile 1 owns {2, 3}.
-
-_BOUNDS = ((0, 2), (2, 4))
-
-
-def _tab(
-    owner: str,
-    phase: int = 0,
-    sources: Tuple[int, ...] = (),
-    arrivals: Tuple[int, ...] = (),
-    scatter: Tuple[int, ...] = (),
-    clear: Tuple[int, ...] = (),
-    inject: Tuple[int, ...] = (),
-) -> PhaseTabView:
-    return PhaseTabView(
-        owner=owner,
-        phase=phase,
-        sources=sources,
-        arrival_sources=arrivals,
-        scatter=scatter,
-        clear=clear,
-        inject_positions=inject,
-    )
-
-
-def _plan(*rounds: PhaseRound) -> VectorArtifacts:
-    return VectorArtifacts(
-        wheel=len(rounds),
-        n_registers=4,
-        register_names=("r0", "r1", "r2", "r3"),
-        shards=2,
-        workers=0,
-        tile_bounds=_BOUNDS,
-        rounds=rounds,
-    )
-
-
-def clean_shard_plan() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """Each tile moves within its own columns; nothing crosses."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined", sources=(0, 2), scatter=(1, 3), clear=(0, 2)
-        ),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(1,), clear=(0,)),
-            _tab("tile:1", sources=(2,), scatter=(3,), clear=(2,)),
-        ),
-        parent=_tab("parent"),
-    )
-    return _plan(rnd), frozenset()
-
-
-def plant_double_scatter() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """One tab scatters column 1 twice — a double drive no ordering
-    fixes: RS001."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined", sources=(0, 0), scatter=(1, 1), clear=(0,)
-        ),
-        tiles=(
-            _tab("tile:0", sources=(0, 0), scatter=(1, 1), clear=(0,)),
-            _tab("tile:1"),
-        ),
-        parent=None,
-    )
-    return _plan(rnd), frozenset({"RS001"})
-
-
-def plant_overlapping_tiles() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """Both tiles scatter column 3 (RS001); for tile 0 that is also a
-    boundary-crossing pair it must not own (RS002)."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined", sources=(0, 2), scatter=(3, 3), clear=(0, 2)
-        ),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(3,), clear=(0,)),
-            _tab("tile:1", sources=(2,), scatter=(3,), clear=(2,)),
-        ),
-        parent=None,
-    )
-    return _plan(rnd), frozenset({"RS001", "RS002"})
-
-
-def plant_crossing_pair_in_tile() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """Tile 0 owns the pair r0 -> r3, which crosses into tile 1's
-    columns — parent-owned work: RS002."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab("combined", sources=(0,), scatter=(3,), clear=(0,)),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(3,), clear=(0,)),
-            _tab("tile:1"),
-        ),
-        parent=None,
-    )
-    return _plan(rnd), frozenset({"RS002"})
-
-
-def plant_dropped_pair() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """The unsharded tab executes r2 -> r3 but no unit does — a
-    mutated exchange set losing words: RS002."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined", sources=(0, 2), scatter=(1, 3), clear=(0,)
-        ),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(1,), clear=(0,)),
-            _tab("tile:1"),
-        ),
-        parent=None,
-    )
-    return _plan(rnd), frozenset({"RS002"})
-
-
-def plant_duplicated_pair() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """Tile 1 and the parent both execute r2 -> r3; the word is
-    duplicated versus the unsharded tab (RS002) and two units scatter
-    one column (RS003)."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined", sources=(0, 2), scatter=(1, 3), clear=(0, 2)
-        ),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(1,), clear=(0,)),
-            _tab("tile:1", sources=(2,), scatter=(3,), clear=(2,)),
-        ),
-        parent=_tab("parent", sources=(2,), scatter=(3,)),
-    )
-    return _plan(rnd), frozenset({"RS002", "RS003"})
-
-
-def plant_tile_arrival() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """Tile 0 holds an arrival — parent-owned bookkeeping and a
-    mismatched parent arrival set (RS002); the parent's recorded event
-    stream is also incomplete, so replay capture would miss the
-    ejection (RS004)."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab("combined", arrivals=(1,), clear=(1,)),
-        tiles=(
-            _tab("tile:0", arrivals=(1,), clear=(1,)),
-            _tab("tile:1"),
-        ),
-        parent=_tab("parent"),
-    )
-    return _plan(rnd), frozenset({"RS002", "RS004"})
-
-
-def plant_reordered_injections() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """The parent executes both injection records, but swapped versus
-    the unsharded tab's position order.  Every multiset check passes —
-    only the *stream* differs, which is exactly what a replayed-epoch
-    template would get wrong: RS004."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined",
-            sources=(0, 2),
-            scatter=(1, 3),
-            clear=(0, 2),
-            inject=(0, 1),
-        ),
-        tiles=(
-            _tab("tile:0", clear=(0,)),
-            _tab("tile:1", clear=(2,)),
-        ),
-        parent=_tab(
-            "parent", sources=(2, 0), scatter=(3, 1), inject=(0, 1)
-        ),
-    )
-    return _plan(rnd), frozenset({"RS004"})
-
-
-def plant_reordered_arrivals() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """The parent carries both arrivals but in reversed order; the
-    multiset matches (no RS002), the recorded ejection stream does
-    not: RS004."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab("combined", arrivals=(1, 3), clear=(1, 3)),
-        tiles=(
-            _tab("tile:0", clear=(1,)),
-            _tab("tile:1", clear=(3,)),
-        ),
-        parent=_tab("parent", arrivals=(3, 1)),
-    )
-    return _plan(rnd), frozenset({"RS004"})
-
-
-def plant_parent_clear() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """The parent clears a column — clears are tile-owned (the parent
-    applies *after* the tiles; its clear would erase their work): RS002."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab("combined", sources=(0,), scatter=(1,), clear=(0,)),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(1,)),
-            _tab("tile:1"),
-        ),
-        parent=_tab("parent", clear=(0,)),
-    )
-    return _plan(rnd), frozenset({"RS002"})
-
-
-def plant_parent_tile_scatter() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """Parent and tile 0 both scatter column 1 — two produces cannot
-    be serialized by the fixed order: RS003 (ownership stays legal:
-    the parent may write tile columns, just not ones a tile drives)."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined", sources=(0, 2), scatter=(1, 1), clear=(0, 2)
-        ),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(1,), clear=(0,)),
-            _tab("tile:1", clear=(2,)),
-        ),
-        parent=_tab("parent", sources=(2,), scatter=(1,)),
-    )
-    return _plan(rnd), frozenset({"RS003"})
-
-
-def plant_cross_tile_gather() -> Tuple[VectorArtifacts, FrozenSet[str]]:
-    """Tile 1 gathers column 1 while concurrent tile 0 writes it
-    (RS003); the gather is part of a crossing pair it must not own
-    (RS002)."""
-    rnd = PhaseRound(
-        phase=0,
-        combined=_tab(
-            "combined", sources=(0, 1), scatter=(1, 3), clear=(0, 1)
-        ),
-        tiles=(
-            _tab("tile:0", sources=(0,), scatter=(1,), clear=(0, 1)),
-            _tab("tile:1", sources=(1,), scatter=(3,)),
-        ),
-        parent=None,
-    )
-    return _plan(rnd), frozenset({"RS002", "RS003"})
-
-
 #: The whole corpus, for parametrized exactness tests:
 #: (name, builder) pairs; each builder -> (artifact, expected codes).
 OP_CORPUS = (
@@ -436,19 +186,4 @@ OP_CORPUS = (
 REFUSAL_CORPUS = (
     ("undeclared_refusal", plant_undeclared_refusal),
     ("declared_refusal", clean_declared_refusal),
-)
-
-RS_CORPUS = (
-    ("clean_shard_plan", clean_shard_plan),
-    ("double_scatter", plant_double_scatter),
-    ("overlapping_tiles", plant_overlapping_tiles),
-    ("crossing_pair_in_tile", plant_crossing_pair_in_tile),
-    ("dropped_pair", plant_dropped_pair),
-    ("duplicated_pair", plant_duplicated_pair),
-    ("tile_arrival", plant_tile_arrival),
-    ("reordered_injections", plant_reordered_injections),
-    ("reordered_arrivals", plant_reordered_arrivals),
-    ("parent_clear", plant_parent_clear),
-    ("parent_tile_scatter", plant_parent_tile_scatter),
-    ("cross_tile_gather", plant_cross_tile_gather),
 )
